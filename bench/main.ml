@@ -75,10 +75,20 @@ let b2_representations =
 (* B2D: the D >= 3 diameter-query sweep this PR targets. At D=3 the
    pre-PR hot path (implicit LP diameter search over a freshly built
    hullset — no support cache survives across multisets) races the exact
-   Hull3d arm that now backs Safe_area. At D=4/5 — where the LP stays the
-   only kernel — the seed one-shot Reference search races the memoised
-   workspace path whose repeat queries land in the support cache. *)
+   Hull3d arm that now backs Safe_area (the shipped entry, over the sorted
+   multiset, as Safe_area calls it). The converged row is the lockstep
+   steady state: ten bitwise-identical values, answered without a kernel.
+   At D=4/5 — where the LP stays the only kernel — the seed one-shot
+   Reference search races the memoised workspace path whose repeat queries
+   land in the support cache. *)
 let b2d_subs_3 = Restrict.subsets_arr ~t:2 (Array.of_list pts_3d_9)
+
+let b2d_sorted_3 =
+  let a = Array.of_list pts_3d_9 in
+  Array.sort Vec.compare a;
+  a
+
+let b2d_converged_3 = Array.make 10 (List.hd pts_3d_9)
 let pts_4d_7 = random_points ~d:4 ~n:7 ~scale:10.
 let pts_5d_7 = random_points ~d:5 ~n:7 ~scale:10.
 let b2d_subs_4 = Restrict.subsets_arr ~t:1 (Array.of_list pts_4d_7)
@@ -97,9 +107,12 @@ let b2d_sweep =
              ignore (Hullset.diameter_pair hs)));
       Test.make ~name:"D=3 exact hull3d"
         (Staged.stage (fun () ->
-             match Hull3d.inter_hulls b2d_subs_3 with
+             match Hull3d.inter_trimmed ~t:2 b2d_sorted_3 with
              | `Poly p -> ignore (Hull3d.diameter_pair p)
              | `Empty | `Degenerate -> assert false));
+      Test.make ~name:"D=3 converged multiset"
+        (Staged.stage (fun () ->
+             ignore (Safe_area.new_value_arr ~t:2 b2d_converged_3)));
       Test.make ~name:"D=4 seed one-shot reference"
         (Staged.stage (fun () ->
              ignore (Hullset.Reference.diameter_pair b2d_hs4_ref)));

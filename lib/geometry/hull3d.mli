@@ -6,8 +6,8 @@
     representation (face rings aligned with outward halfspaces) on which
     diameter, membership and centroid queries are closed-form scans instead
     of linear programs. It backs the [Safe_area] D = 3 kernel; the
-    LP-backed {!Hullset} remains the oracle for differential tests and the
-    kernel for D ≥ 4.
+    LP-backed {!Hullset} is the fallback for degenerate D = 3 inputs, the
+    oracle for differential tests and the kernel for D ≥ 4.
 
     All operations are deterministic pure functions of the input coordinate
     bits. Degenerate inputs — affinely dependent point sets, intersections
@@ -27,16 +27,25 @@ val of_points :
 (** Convex hull of a point set. [`Degenerate] when the set has fewer than
     four points, is affinely dependent, or is numerically flat. *)
 
-val inter_hulls :
-  Vec.t array array -> [ `Poly of poly | `Empty | `Degenerate ]
-(** [inter_hulls hs] is [⋂ᵢ convex(hs.(i))]. [`Empty] when the clipped
-    region vanished ({e advisory}: a lower-dimensional but non-empty true
-    intersection can also report [`Empty] — callers that must distinguish
-    re-decide emptiness with the LP kernel). [`Degenerate] when some hull
-    is affinely dependent or the intersection is thinner than the
-    tolerance band.
+val inter_trimmed :
+  t:int -> Vec.t array -> [ `Poly of poly | `Empty | `Degenerate ]
+(** [inter_trimmed ~t pts] is [⋂ convex(S)] over the [C(m, t)] subsets [S]
+    of [m − t] points of [pts] ([m = Array.length pts]): the safe area
+    [safe_t] of Definition 5.1. The subsets are taken in the lexicographic
+    index order of [Restrict.subsets_arr], and the result depends on the
+    order of [pts]; [Safe_area] passes the canonically sorted multiset.
+    Each index triple's plane (unit normal and offset) is computed once
+    for all subsets; the result is bit-identical to clipping with every subset's
+    own supporting planes, subset by subset.
 
-    @raise Invalid_argument on an empty array. *)
+    [`Empty] when the clipped region vanished ({e advisory}: a
+    lower-dimensional but non-empty true intersection can also report
+    [`Empty] — callers that must distinguish re-decide emptiness with the
+    LP kernel). [`Degenerate] when some subset is affinely dependent or
+    the intersection is thinner than the tolerance band. The family size
+    is not bounded here; callers bound it.
+
+    @raise Invalid_argument if [t < 0] or [t > m]. *)
 
 val vertices : poly -> Vec.t list
 (** Deduped vertex set, lexicographically sorted (computed lazily once). *)

@@ -25,11 +25,14 @@ let count ~m ~t =
    version produced — with the family size taken from [count] instead of
    being discovered by consing. No list append, no [List.length], and the
    only allocations are the result rows themselves. *)
-let subsets_arr ~t arr =
-  let m = Array.length arr in
+let check ~m ~t =
   if t < 0 || t > m then invalid_arg "Restrict.subsets: bad t";
   if count ~m ~t > max_subsets then
-    invalid_arg "Restrict.subsets: family too large";
+    invalid_arg "Restrict.subsets: family too large"
+
+let subsets_arr ~t arr =
+  let m = Array.length arr in
+  check ~m ~t;
   let keep = m - t in
   let total = count ~m ~t in
   if keep = 0 then Array.make total [||]

@@ -5,6 +5,13 @@ val count : m:int -> t:int -> int
 (** [count ~m ~t = C(m, t)], the size of the family. Saturates at
     [max_int] rather than overflowing. *)
 
+val check : m:int -> t:int -> unit
+(** [check ~m ~t] raises exactly when {!subsets} would on a list of
+    length [m]; kernels that walk the family without materialising it
+    validate with it first.
+
+    @raise Invalid_argument under the same conditions as {!subsets}. *)
+
 val subsets_arr : t:int -> 'a array -> 'a array array
 (** [subsets_arr ~t a] is every subarray of [a] obtained by removing
     exactly [t] elements, each preserving the original order; the family is

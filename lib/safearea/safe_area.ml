@@ -27,17 +27,18 @@ let compute_nd_of subs =
 
 let compute_nd ~t vs = compute_nd_of (Restrict.subsets_arr ~t vs)
 
-(* D = 3 fast path: the exact clipped-polytope kernel. Degenerate inputs
-   (affinely dependent subsets, tolerance-thin intersections) and advisory
-   emptiness both fall back to the LP-backed implicit kernel, so the
-   emptiness *decision* — which the protocol's non-emptiness assertion
-   (Lemma 5.5) leans on — is always the LP's. The fallback condition is a
-   pure function of the input bits, so all parties take the same arm. *)
+(* D = 3 fast path: the exact clipped-polytope kernel, walking the subset
+   family without materialising it. Degenerate inputs (affinely dependent
+   subsets, tolerance-thin intersections) and advisory emptiness both fall
+   back to the LP-backed implicit kernel, so the emptiness *decision* —
+   which the protocol's non-emptiness assertion (Lemma 5.5) leans on — is
+   always the LP's. The fallback condition is a pure function of the input
+   bits, so all parties take the same arm. *)
 let compute_3d ~t vs =
-  let subs = Restrict.subsets_arr ~t vs in
-  match Hull3d.inter_hulls subs with
+  Restrict.check ~m:(Array.length vs) ~t;
+  match Hull3d.inter_trimmed ~t vs with
   | `Poly p -> Some (Spatial p)
-  | `Empty | `Degenerate -> compute_nd_of subs
+  | `Empty | `Degenerate -> compute_nd ~t vs
 
 (* Array-native core: the multiset arrives as an array, is canonicalised in
    place, and flows into the per-dimension kernels without intermediate
@@ -48,8 +49,10 @@ let compute_arr ~t vs =
   if t < 0 || t >= m then invalid_arg "Safe_area.compute: need 0 <= t < |M|";
   (* Canonicalise the multiset order so the result — including its floating
      point noise — is independent of the order values were received in.
-     (Vectors comparing equal are coordinate-identical, so the unstable
-     sort cannot perturb the value sequence.) *)
+     (Vectors comparing equal are coordinate-identical up to the sign of
+     zero coordinates, which [Float.compare] does not see: where a multiset
+     mixes 0. and -0. in one coordinate, the unstable sort leaves those
+     values in an order that depends on their arrival order.) *)
   let vs = Array.copy vs in
   Array.sort Vec.compare vs;
   match Vec.dim vs.(0) with
@@ -86,9 +89,6 @@ let midpoint_value area =
   let a, b = diameter_pair area in
   Vec.midpoint a b
 
-let new_value ~t vs = Option.map midpoint_value (compute ~t vs)
-let new_value_arr ~t vs = Option.map midpoint_value (compute_arr ~t vs)
-
 let interior_point = function
   | Interval { lo; hi } -> Vec.of_list [ (lo +. hi) /. 2. ]
   | Planar poly -> Vec.centroid (Polygon.vertices poly)
@@ -99,4 +99,42 @@ let interior_point = function
       | None -> assert false (* Implicit areas are non-empty *))
 
 let centroid_value = interior_point
-let centroid_value_arr ~t vs = Option.map centroid_value (compute_arr ~t vs)
+
+(* A multiset of m bitwise-identical values [p] has [safe_t = {p}] for
+   every admissible t, and both update rules return [p] itself. Lockstep
+   parties reach this state as soon as they agree, and the kernels would
+   pay full price for it (at D = 3: a degenerate polytope, then the LP
+   fallback over C(m, t) identical subsets), so it is answered in O(m).
+   Bits, not [Vec.compare], decide identity, so a ±0.0 mix still takes the
+   kernel. Inputs the kernel rejects also take it, so that it raises. *)
+let converged ~t (vs : Vec.t array) =
+  let m = Array.length vs in
+  if m = 0 || t < 0 || t >= m then None
+  else begin
+    let p = (vs.(0) :> float array) in
+    let same (q : Vec.t) =
+      let q = (q :> float array) in
+      Array.length q = Array.length p
+      && Array.for_all2
+           (fun x y ->
+             Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+           q p
+    in
+    if
+      (Array.length p = 1 || Restrict.count ~m ~t <= Restrict.max_subsets)
+      && Array.for_all same vs
+    then Some vs.(0)
+    else None
+  end
+
+let new_value_arr ~t vs =
+  match converged ~t vs with
+  | Some _ as r -> r
+  | None -> Option.map midpoint_value (compute_arr ~t vs)
+
+let new_value ~t vs = new_value_arr ~t (Array.of_list vs)
+
+let centroid_value_arr ~t vs =
+  match converged ~t vs with
+  | Some _ as r -> r
+  | None -> Option.map centroid_value (compute_arr ~t vs)

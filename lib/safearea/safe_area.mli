@@ -49,7 +49,14 @@ val midpoint_value : t -> Vec.t
 
 val new_value : t:int -> Vec.t list -> Vec.t option
 (** [new_value ~t vs = Option.map midpoint_value (compute ~t vs)]:
-    the complete "trim and average" step of one iteration. *)
+    the complete "trim and average" step of one iteration — except that
+    a multiset of [m] bitwise-identical values [p] (compared by
+    [Int64.bits_of_float], so a [0.]/[-0.] mix does not count) is answered
+    [Some p] in O(m). That is the kernels' own answer wherever they are
+    sound. With very large coordinates (from about [1e150]) the LP
+    fallback can lose feasibility and the midpoint can overflow; there
+    [Some p] is the exact answer where the kernels gave [None] or a
+    non-finite point. Raises as {!compute}. *)
 
 val new_value_arr : t:int -> Vec.t array -> Vec.t option
 (** Array-native {!new_value}, over {!compute_arr}. *)
@@ -69,4 +76,5 @@ val centroid_value : t -> Vec.t
 
 val centroid_value_arr : t:int -> Vec.t array -> Vec.t option
 (** [Option.map centroid_value (compute_arr ~t vs)]: the complete
-    trim-and-centroid step of one [`Centroid]-kernel iteration. *)
+    trim-and-centroid step of one [`Centroid]-kernel iteration, with the
+    same O(m) answer for converged multisets as {!new_value}. *)

@@ -91,8 +91,9 @@ let equal_exact (u : t) (v : t) =
 
 (* Bit-level FNV-style hash. Every NaN is folded to one canonical word so
    the hash agrees with [equal_exact] (Float.compare puts all NaNs in one
-   equivalence class); -0. and 0. hash apart, as Float.compare separates
-   them. *)
+   equivalence class). -0. and 0. hash alike, as [equal_exact] requires
+   (Float.compare identifies them): [Int64.to_int] drops the sign bit, the
+   only bit in which they differ. *)
 let hash (v : t) =
   let h = ref 0x811c9dc5 in
   for i = 0 to Array.length v - 1 do

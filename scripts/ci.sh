@@ -26,6 +26,16 @@ grep -q '"schema": "maaa-soak/2"' _build/SOAK_smoke.json
 grep -q '"violations_total": 0' _build/SOAK_smoke.json
 grep -q '"quarantined": 0' _build/SOAK_smoke.json
 
+echo "== committed outputs regenerate byte-identically =="
+# experiments_output.txt and SOAK.json are deterministic (fixed seeds, no
+# wall-clock data): a change that moves any reported figure must
+# regenerate and explain them, so both are rebuilt and compared here
+dune exec bin/experiments_main.exe > _build/experiments_output.txt 2>&1
+cmp _build/experiments_output.txt experiments_output.txt
+dune exec bin/soak_main.exe -- --cases 500 --seed 7 --domains 2 \
+  --out _build/SOAK.json
+cmp _build/SOAK.json SOAK.json
+
 echo "== soak smoke: batched message layer =="
 # identical case grid, combined-packet egress: must grade just as clean
 dune exec bin/soak_main.exe -- --smoke --domains 2 --message-layer batched \

@@ -73,28 +73,130 @@ let test_degenerate_inputs () =
   Alcotest.(check bool) "all equal" true
     (deg (List.init 5 (fun _ -> vec3 1. 2. 3.)))
 
-let test_inter_hulls () =
-  let shift d = List.map (fun v -> Vec.add v (vec3 d 0. 0.)) unit_cube_pts in
-  (* overlapping cubes: a 0.5 × 1 × 1 box *)
-  (match
-     Hull3d.inter_hulls
-       [| Array.of_list unit_cube_pts; Array.of_list (shift 0.5) |]
-   with
+let sorted pts =
+  let a = Array.of_list pts in
+  Array.sort Vec.compare a;
+  a
+
+let test_inter_trimmed () =
+  (* dropping any one cube corner cuts it off along the plane through its
+     three neighbours: the eight cuts leave the octahedron spanned by the
+     face centres *)
+  (match Hull3d.inter_trimmed ~t:1 (sorted unit_cube_pts) with
   | `Poly p ->
-      Alcotest.(check (float 1e-9))
-        "slab diameter" (sqrt 2.25) (Hull3d.diameter p);
-      Alcotest.(check bool) "slab member" true
-        (Hull3d.contains p (vec3 0.75 0.5 0.5));
-      Alcotest.(check bool) "slab non-member" false
-        (Hull3d.contains p (vec3 0.25 0.5 0.5))
+      Alcotest.(check int) "8 faces" 8 (Hull3d.nfaces p);
+      Alcotest.(check int) "6 vertices" 6 (List.length (Hull3d.vertices p));
+      Alcotest.(check (float 1e-9)) "diameter 1" 1. (Hull3d.diameter p);
+      Alcotest.(check bool) "octahedron member" true
+        (Hull3d.contains p (vec3 0.5 0.5 0.5));
+      Alcotest.(check bool) "cut-off corner" false
+        (Hull3d.contains p (vec3 0.1 0.1 0.1))
   | `Empty | `Degenerate -> Alcotest.fail "expected a proper intersection");
-  (* disjoint cubes *)
-  match
-    Hull3d.inter_hulls
-      [| Array.of_list unit_cube_pts; Array.of_list (shift 3.) |]
-  with
+  (* two far tetrahedra, t = 4: each one alone is a kept subset *)
+  (match
+     Hull3d.inter_trimmed ~t:4
+       (sorted
+          [
+            vec3 0. 0. 0.;
+            vec3 1. 0.1 0.2;
+            vec3 0.3 1. 0.1;
+            vec3 0.2 0.4 1.;
+            vec3 10. 0.5 0.7;
+            vec3 10.9 0.2 0.4;
+            vec3 10.1 1.3 0.3;
+            vec3 10.2 0.3 1.6;
+          ])
+   with
   | `Empty -> ()
-  | `Poly _ | `Degenerate -> Alcotest.fail "expected `Empty"
+  | `Poly _ | `Degenerate -> Alcotest.fail "expected `Empty");
+  Alcotest.check_raises "t > m"
+    (Invalid_argument "Hull3d.inter_trimmed: need 0 <= t <= m") (fun () ->
+      ignore (Hull3d.inter_trimmed ~t:9 (sorted unit_cube_pts)))
+
+(* --- the shared-geometry kernel vs the per-subset oracle --- *)
+
+let bits_equal a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let vec_bits_equal u v =
+  List.equal bits_equal (Vec.to_list u) (Vec.to_list v)
+
+(* [Hull3d.inter_trimmed] must reproduce the per-subset path bit for bit:
+   the same routing, and on [`Poly] the same vertices and face halfspaces
+   in the same order. *)
+let same_as_oracle ~t vs =
+  match
+    ( Hull3d.inter_trimmed ~t vs,
+      Hull3d_oracle.inter_hulls (Restrict.subsets_arr ~t vs) )
+  with
+  | `Poly p, `Poly q ->
+      List.equal vec_bits_equal (Hull3d.vertices p) (Hull3d_oracle.vertices q)
+      && List.equal
+           (fun (n, o) (n', o') -> vec_bits_equal n n' && bits_equal o o')
+           (List.map
+              (fun (h : Hull3d.halfspace) -> (h.n, h.o))
+              (Hull3d.halfspaces p))
+           (List.map
+              (fun (h : Hull3d_oracle.halfspace) -> (h.n, h.o))
+              (Hull3d_oracle.halfspaces q))
+  | `Empty, `Empty | `Degenerate, `Degenerate -> true
+  | _ -> false
+
+let routing ~t vs =
+  match Hull3d.inter_trimmed ~t vs with
+  | `Poly _ -> 0
+  | `Empty -> 1
+  | `Degenerate -> 2
+
+(* Seeded multisets of five shapes, m = 5..12, t = 1..3 (t < m - 2 so a
+   kept subset can span space). *)
+let oracle_case rng ~shape ~m =
+  let r a = Rng.float_range rng (-.a) a in
+  let gen () = vec3 (r 10.) (r 10.) (r 10.) in
+  match shape with
+  | 0 -> List.init m (fun _ -> gen ())
+  | 1 ->
+      (* duplicates: a few points, each repeated *)
+      let base = Array.init (max 4 (m / 2)) (fun _ -> gen ()) in
+      List.init m (fun i -> base.(i mod Array.length base))
+  | 2 ->
+      (* far outliers, as Byzantine extreme inputs *)
+      List.init m (fun i ->
+          if i < 2 then vec3 1e4 (1e4 +. r 1.) (1e4 -. r 1.) else gen ())
+  | 3 ->
+      (* coplanar except for at most one point off the plane *)
+      List.init m (fun i ->
+          vec3 (r 10.) (r 10.) (if i = 0 && Rng.bool rng then 3. else 0.))
+  | _ ->
+      (* clustered: tight clouds around far-from-origin centres *)
+      let c = vec3 (5. +. r 100.) (r 100.) (r 100.) in
+      List.init m (fun i ->
+          let off = if i mod 3 = 0 then vec3 1. 2. 0.5 else Vec.zero 3 in
+          Vec.add (Vec.add c off) (vec3 (r 0.01) (r 0.01) (r 0.01)))
+
+let test_oracle_grid () =
+  let rng = Rng.create 1207L in
+  let cases = ref 0 and routes = Array.make 3 0 in
+  for shape = 0 to 4 do
+    for m = 5 to 12 do
+      for t = 1 to min 3 (m - 3) do
+        for rep = 1 to 5 do
+          let vs = sorted (oracle_case rng ~shape ~m) in
+          incr cases;
+          let r = routing ~t vs in
+          routes.(r) <- routes.(r) + 1;
+          if not (same_as_oracle ~t vs) then
+            Alcotest.failf "shape=%d m=%d t=%d rep=%d differs from the oracle"
+              shape m t rep
+        done
+      done
+    done
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cases (poly %d, empty %d, degenerate %d)" !cases
+       routes.(0) routes.(1) routes.(2))
+    true
+    (!cases >= 500 && routes.(0) > 0 && routes.(1) > 0 && routes.(2) > 0)
 
 (* --- differential grid vs the LP oracle --- *)
 
@@ -290,10 +392,12 @@ let () =
             test_cube_interior_ignored;
           Alcotest.test_case "tetrahedron" `Quick test_tetrahedron;
           Alcotest.test_case "degenerate inputs" `Quick test_degenerate_inputs;
-          Alcotest.test_case "hull intersection" `Quick test_inter_hulls;
+          Alcotest.test_case "hull intersection" `Quick test_inter_trimmed;
         ] );
       ( "differential",
         [
+          Alcotest.test_case "shared geometry vs per-subset oracle" `Quick
+            test_oracle_grid;
           Alcotest.test_case "random grid vs reference" `Quick
             test_differential_random;
           Alcotest.test_case "adversarial sets vs reference" `Quick

@@ -328,6 +328,106 @@ let prop_implicit_diameter_matches_reference =
       | Some _ -> false
       | None -> QCheck.assume_fail ())
 
+(* --- converged multisets (m bitwise-identical values) --- *)
+
+let bits_equal u w =
+  List.equal
+    (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+    (Vec.to_list u) (Vec.to_list w)
+
+let opt_bits_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some u, Some w -> bits_equal u w
+  | _ -> false
+
+let kernel_midpoint ~t vs =
+  Option.map Safe_area.midpoint_value (Safe_area.compute_arr ~t vs)
+
+let kernel_centroid ~t vs =
+  Option.map Safe_area.centroid_value (Safe_area.compute_arr ~t vs)
+
+(* Both update rules answer a converged multiset with its value, bit for
+   bit what the kernels compute. The kernels run wherever they stay small:
+   from D = 3 on they reach the LP fallback, whose tableau grows with
+   C(m, t), so beyond 120 subsets only the short-circuit's answer is
+   checked (it equals the kernel's on every smaller family). *)
+let test_converged_matches_kernel () =
+  let rng = Rng.create 2412L in
+  let coord () =
+    let x = 10. ** Rng.float_range rng (-3.) 4. in
+    if Rng.bool rng then x else -.x
+  in
+  for d = 1 to 5 do
+    for m = 4 to 13 do
+      for t = 0 to m - 1 do
+        let p = Vec.of_list (List.init d (fun _ -> coord ())) in
+        let vs = Array.make m p in
+        let name = Printf.sprintf "D=%d m=%d t=%d %s" d m t (Vec.to_string p) in
+        let mid = Safe_area.new_value_arr ~t vs in
+        let cen = Safe_area.centroid_value_arr ~t vs in
+        if not (opt_bits_equal mid (Some p) && opt_bits_equal cen (Some p)) then
+          Alcotest.failf "%s: not answered with the value" name;
+        if d <= 2 || Restrict.count ~m ~t <= 120 then begin
+          if not (opt_bits_equal mid (kernel_midpoint ~t vs)) then
+            Alcotest.failf "%s: midpoint rule differs from the kernel" name;
+          if not (opt_bits_equal cen (kernel_centroid ~t vs)) then
+            Alcotest.failf "%s: centroid rule differs from the kernel" name
+        end
+      done
+    done
+  done
+
+(* -0. and 0. compare equal but differ in bits, so a multiset mixing them
+   is not converged and takes the kernel. In D = 1 the kernel's midpoint of
+   the trimmed interval is +0., while the first value is -0. *)
+let test_converged_signed_zero () =
+  for d = 1 to 3 do
+    let p = Vec.of_list (List.init d (fun i -> if i = 0 then 0. else 1.5)) in
+    let q = Vec.of_list (List.init d (fun i -> if i = 0 then -0. else 1.5)) in
+    let vs = Array.init 6 (fun i -> if i = 0 then q else p) in
+    List.iter
+      (fun t ->
+        let name = Printf.sprintf "D=%d t=%d" d t in
+        Alcotest.(check bool) (name ^ " midpoint = kernel") true
+          (opt_bits_equal
+             (Safe_area.new_value_arr ~t vs)
+             (kernel_midpoint ~t vs));
+        Alcotest.(check bool) (name ^ " centroid = kernel") true
+          (opt_bits_equal
+             (Safe_area.centroid_value_arr ~t vs)
+             (kernel_centroid ~t vs)))
+      [ 1; 2 ]
+  done;
+  let vs = [| v [ -0. ]; v [ 0. ]; v [ 0. ]; v [ 0. ] |] in
+  Alcotest.(check bool) "D=1 mix answered +0." true
+    (opt_bits_equal (Safe_area.new_value_arr ~t:1 vs) (Some (v [ 0. ])))
+
+let test_converged_contracts () =
+  let p = v [ 1.; 2.; 3. ] in
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  List.iter
+    (fun (rule, f) ->
+      raises (rule ^ ": empty") "Safe_area.compute: empty multiset" (fun () ->
+          f ~t:0 [||]);
+      raises (rule ^ ": t = m") "Safe_area.compute: need 0 <= t < |M|"
+        (fun () -> f ~t:4 (Array.make 4 p));
+      raises (rule ^ ": t < 0") "Safe_area.compute: need 0 <= t < |M|"
+        (fun () -> f ~t:(-1) (Array.make 4 p));
+      raises (rule ^ ": family too large") "Restrict.subsets: family too large"
+        (fun () -> f ~t:20 (Array.make 40 p));
+      (* D = 1 never enumerates the family *)
+      Alcotest.(check bool) (rule ^ ": D=1 large family") true
+        (opt_bits_equal
+           (f ~t:20 (Array.make 40 (v [ 2.5 ])))
+           (Some (v [ 2.5 ]))))
+    [
+      ("midpoint", Safe_area.new_value_arr);
+      ("centroid", Safe_area.centroid_value_arr);
+    ]
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "safearea"
@@ -360,6 +460,14 @@ let () =
             test_paper_empty_example;
           Alcotest.test_case "deterministic diameter pair" `Quick
             test_safe_2d_diameter_pair_deterministic;
+        ] );
+      ( "converged",
+        [
+          Alcotest.test_case "short-circuit = kernel" `Quick
+            test_converged_matches_kernel;
+          Alcotest.test_case "signed zeros take the kernel" `Quick
+            test_converged_signed_zero;
+          Alcotest.test_case "contracts kept" `Quick test_converged_contracts;
         ] );
       ( "properties",
         q

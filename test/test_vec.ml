@@ -152,6 +152,42 @@ let prop_midpoint_between =
       let m = Vec.midpoint a b in
       Float.abs (Vec.dist a m -. (Vec.dist a b /. 2.)) <= 1e-9)
 
+(* [Safe_cache] and [Intern] key tables on [Vec.equal_exact] with
+   [Vec.hash], so equal vectors must hash alike. Coordinates come from a
+   pool rich in the values [Float.compare] identifies despite different
+   bits: both zeros and NaNs with different signs and payloads. The
+   partner vector swaps each coordinate for an identified one. *)
+let prop_hash_consistent =
+  let pool =
+    [|
+      0.; -0.; Float.nan; -.Float.nan; Int64.float_of_bits 0x7ff0000000000001L;
+      Int64.float_of_bits 0xfff4000000000abcL; Float.infinity;
+      Float.neg_infinity; 1.; -1.; 5e-324; 1e300;
+    |]
+  in
+  let twin x =
+    if Float.is_nan x then Int64.float_of_bits 0x7ff8000000000123L
+    else if x = 0. then -.x
+    else x
+  in
+  let gen =
+    QCheck.Gen.(
+      int_range 1 5 >>= fun d ->
+      list_repeat d
+        (oneof [ oneofa pool; float_range (-10.) 10. ] >>= fun x ->
+         bool >|= fun flip -> (x, if flip then twin x else x))
+      >|= List.split)
+  in
+  QCheck.Test.make ~name:"equal_exact implies equal hash" ~count:500
+    (QCheck.make
+       ~print:(fun (u, v) ->
+         let p l = String.concat "," (List.map (Printf.sprintf "%h") l) in
+         p u ^ " / " ^ p v)
+       gen)
+    (fun (u, v) ->
+      let u = Vec.of_list u and v = Vec.of_list v in
+      Vec.equal_exact u v && Vec.hash u = Vec.hash v)
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "vec"
@@ -184,5 +220,6 @@ let () =
             prop_diameter_max;
             prop_diameter_order_independent;
             prop_midpoint_between;
+            prop_hash_consistent;
           ] );
     ]
