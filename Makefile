@@ -85,8 +85,9 @@ msgs-check:
 net-check:
 	dune exec bin/net_check_main.exe
 
-# Multiplexed-engine differential gate: the full k-instances x D x
-# sync/async x corruption grid, every multiplexed run required to be
+# Multiplexed-engine differential gate: the full message-layer x
+# k-instances x D x sync/async x corruption grid (interned and batched
+# layers on the one slot layout), every multiplexed run required to be
 # byte-identical to its sequential references (results, stats, traffic,
 # traces, monitor summaries). Exit 1 with one line per mismatch.
 multi-check:

@@ -387,7 +387,7 @@ let b11_vote_storm impl () =
         deliver = (fun _ _ -> incr delivered);
       }
   in
-  let id = { Message.tag = Message.Init_value; origin = 0; instance = 0 } in
+  let id = { Message.tag = Message.Init_value; origin = 0 } in
   Rbc.on_message rbc ~from:0 id Message.Init b11_storm_payload;
   for s = 0 to n - 1 do
     Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
@@ -406,7 +406,7 @@ let b11_instances impl () =
       { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) }
   in
   for o = 0 to 15 do
-    let id = { Message.tag = Message.Obc_value o; origin = o; instance = 0 } in
+    let id = { Message.tag = Message.Obc_value o; origin = o } in
     for s = 0 to 7 do
       Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
     done

@@ -1,8 +1,8 @@
 (* Sequential-vs-multiplexed differential gate (`make multi-check`).
 
-   Runs the full Multi_runner differential grid — k in {1,4,16} instances
-   x D in {1,2} x sync/async x silent/poison corruption arms, plus EW
-   instances and a cross-instance-batching group — and requires every
+   Runs the full Multi_runner differential grid — interned/batched
+   message layer x k in {1,4,16} instances x D in {1,2} x sync/async x
+   silent/poison corruption arms, plus EW instances — and requires every
    multiplexed run to be byte-identical to its k sequential references:
    results, engine statistics, per-instance traffic, full traces and
    monitor summaries. Exit 1 with one line per mismatch otherwise. *)

@@ -51,7 +51,7 @@ let rbc t = Option.get t.rbc
 
 let broadcast_value t it v =
   Rbc.broadcast (rbc t)
-    { Message.tag = Message.Async_value it; origin = t.me; instance = 0 }
+    { Message.tag = Message.Async_value it; origin = t.me }
     (Message.Pvec v)
 
 let rec step t =
@@ -61,7 +61,7 @@ let rec step t =
     if (not s.sent_report) && Pairset.cardinal s.m >= t.n - t.thr then begin
       s.sent_report <- true;
       Rbc.broadcast (rbc t)
-        { Message.tag = Message.Async_report it; origin = t.me; instance = 0 }
+        { Message.tag = Message.Async_report it; origin = t.me }
         (Message.Ppairs (Pairset.bindings s.m))
     end;
     let validated, rest =

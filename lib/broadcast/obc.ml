@@ -76,7 +76,7 @@ module Reference = struct
         t.sent_report <- true;
         t.cb.send_all
           (Message.Obc_report
-             { instance = 0; iter = t.iter; pairs = Pairset.bindings t.m })
+             { iter = t.iter; pairs = Pairset.bindings t.m })
       end;
       recheck_pending t;
       let witness_ok =
@@ -216,7 +216,7 @@ let fast_try_fire t =
       t.sent_report <- true;
       t.cb.send_all
         (Message.Obc_report
-           { instance = 0; iter = t.iter; pairs = fast_bindings t })
+           { iter = t.iter; pairs = fast_bindings t })
     end;
     fast_recheck_pending t;
     let witness_ok =

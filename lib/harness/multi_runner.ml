@@ -1,8 +1,7 @@
 (* The multi-instance engine: many concurrent ΠAA (or EW) scenario
    instances multiplexed onto ONE discrete-event loop, sharing payload
-   intern tables and safe-area memos, with an optional cross-instance
-   batching layer — the high-throughput path for serving thousands of
-   small agreement requests.
+   intern tables and safe-area memos — the high-throughput path for
+   serving thousands of small agreement requests.
 
    Determinism contract (differential-tested by {!check_grid}): a
    multiplexed run of k admissible scenarios is byte-identical — results,
@@ -23,31 +22,19 @@
    dedicated run; extra flush firings at ticks where only other
    instances were active hit empty buffers and are no-ops.
 
-   Two slot layouts share this machinery:
-
-   - {e Ranges} (the default, and the fast path): instance [j] owns the
-     contiguous engine-slot block [[base_j, base_j + n_j)]. Messages
-     travel untouched — no instance tag, no per-delivery rewrite — and
-     deliveries reach the party handler as the engine popped them, so
-     the steady-state hot path allocates nothing beyond what a
-     dedicated engine would. Timer tags pass through raw.
-
-   - {e Overlay} (selected by [~batching]): all instances share slots
-     [[0, n_max)]. An instance's parties are instance-agnostic (they
-     build messages with [instance = 0]); the mux stamps the instance
-     id into the message ([Message.with_instance]) on send and strips
-     it on delivery, so handlers, vote tables and traces see exactly
-     the sequential bytes. Timer tags are multiplexed as
-     [(instance lsl 7) lor tag] (protocol tags are 0 today, and always
-     < 128 by construction). Sharing slots is what lets the
-     cross-instance batcher merge co-resident packets to one receiver
-     into a single wire event.
+   Slot layout: instance [j] owns the contiguous engine-slot block
+   [[base_j, base_j + n_j)], so the slot a message lands on already
+   identifies its instance. Messages travel untouched — no instance tag,
+   no per-delivery rewrite — and deliveries reach the party handler as
+   the engine popped them, so the steady-state hot path allocates
+   nothing beyond what a dedicated engine would. Timer tags and
+   end-of-tick flushers go straight to the party's own engine slot.
 
    Cache sharing: one {!Safe_cache} per (D, ts, ta) class serves every
    co-resident instance of that class — a hit returns the identical bits
    a miss would recompute, so only the hit/miss counters (and the LP work
-   skipped) change; likewise one {!Intern} table per engine slot is
-   shared by the honest ΠAA parties that sit on it. This is the warm-
+   skipped) change; likewise one {!Intern} table per party index is
+   shared by the honest ΠAA parties with that index. This is the warm-
    workspace story: a later instance's safe-area lookups land on the
    earlier instances' entries and bypass the LP kernel entirely. *)
 
@@ -66,7 +53,6 @@ let muxable (s : Scenario.t) =
   s.Scenario.transport = `Sim && s.wire_chaos = None && s.chaos = None
   && (not s.isolate)
   && s.Scenario.budget.Scenario.max_events = None
-  && (s.message_layer <> `Batched || s.batch_window = 1)
   && List.for_all
        (fun (_, b) ->
          match b with
@@ -79,17 +65,16 @@ let check_admissible s =
     invalid_arg
       (Printf.sprintf
          "Multi_runner: scenario %S is not admissible (needs Sim transport, \
-          no chaos/isolate/max_events, batch_window 1, and only \
-          Silent/Honest_with_input corruptions)"
+          no chaos/isolate/max_events, and only Silent/Honest_with_input \
+          corruptions)"
          s.Scenario.name)
 
 (* -- per-instance state ------------------------------------------------- *)
 
 type inst = {
   s : Scenario.t;
-  j : int;  (* instance id within the group *)
   n : int;
-  base : int;  (* first engine slot ([0] under the overlay layout) *)
+  base : int;  (* first engine slot *)
   rng : Rng.t;  (* replays the dedicated engine's delay stream *)
   policy : Engine.delay_policy;
   handlers : (Message.t Transport.event -> unit) option array;
@@ -110,35 +95,10 @@ let observe inst ev =
   (match inst.monitor with Some m -> Monitor.on_trace m ev | None -> ());
   match inst.tracer with Some f -> f ev | None -> ()
 
-(* A packet diverted into the cross-instance batching buffer: the
-   instance's own per-tick vote packet, its pre-tagged wire form, and the
-   per-dst delivery times its policy drew (the traces already went out at
-   divert time, so the emitter below only moves bytes). *)
-type xpacket = {
-  x_inst : inst;
-  x_tagged : Message.t;
-  x_deliver : int array;  (* deliver_at per dst, length x_inst.n *)
-}
-
-type group = {
-  eng : Message.t Engine.t;
-  n_max : int;  (* slots under overlay; total slots under ranges *)
-  overlay : bool;
-  batching : bool;
-  mutable flushing : bool;  (* inside a slot's flush hooks right now *)
-  flush_hooks : (final:bool -> unit) list ref array;  (* per slot *)
-  xbufs : xpacket list ref array;  (* per slot, reverse order *)
-}
-
 (* -- the send path ------------------------------------------------------ *)
 
-let batch_entries = function
-  | Message.Rbc (id, step, p) -> [ (id, step, p) ]
-  | Message.Rbc_batch entries -> entries
-  | _ -> assert false
-
-let mux_broadcast g inst ~slot msg =
-  let now = Engine.now g.eng in
+let mux_broadcast eng inst ~slot msg =
+  let now = Engine.now eng in
   let size = Message.size_of msg in
   inst.sent <- inst.sent + inst.n;
   inst.bytes <- inst.bytes + (size * inst.n);
@@ -151,97 +111,24 @@ let mux_broadcast g inst ~slot msg =
   for _ = 1 to inst.n do
     Traffic.observe inst.traffic acct
   done;
-  let divert =
-    g.batching && g.flushing
-    && match msg with Message.Rbc _ | Message.Rbc_batch _ -> true | _ -> false
-  in
-  (* under the range layout the slot block already identifies the
-     instance, so the message travels untagged *)
-  let tagged = if g.overlay then Message.with_instance inst.j msg else msg in
-  if divert then begin
-    (* draw the per-dst delays in broadcast order (keeps the instance's
-       RNG stream identical to the dedicated run) and emit the Sent
-       traces now; the wire packet leaves in the slot's cross emitter *)
-    let deliver = Array.make inst.n 0 in
-    for dst = 0 to inst.n - 1 do
-      let delay = max 1 (inst.policy ~rng:inst.rng ~now ~src:slot ~dst) in
-      deliver.(dst) <- now + delay;
-      if inst.observing then
-        observe inst
-          (Engine.Sent
-             { src = slot; dst; at = now; deliver_at = now + delay; msg })
-    done;
-    g.xbufs.(slot) :=
-      { x_inst = inst; x_tagged = tagged; x_deliver = deliver }
-      :: !(g.xbufs.(slot))
-  end
-  else
-    for dst = 0 to inst.n - 1 do
-      let delay = max 1 (inst.policy ~rng:inst.rng ~now ~src:slot ~dst) in
-      if inst.observing then
-        observe inst
-          (Engine.Sent
-             { src = slot; dst; at = now; deliver_at = now + delay; msg });
-      Engine.send_at g.eng ~src:slot ~dst:(inst.base + dst)
-        ~deliver_at:(now + delay) tagged
-    done
-
-(* Cross-instance batch emission for one slot: one combined packet per
-   receiver carrying every co-resident instance's entries whose party
-   count covers that receiver. The per-instance traces and statistics
-   already happened at divert time, so equality with the dedicated runs
-   needs only the delivery times to agree — which is why this mode
-   requires the instances to share one uniform (RNG-free) delay policy. *)
-let emit_cross g ~slot =
-  match !(g.xbufs.(slot)) with
-  | [] -> ()
-  | rev ->
-      g.xbufs.(slot) := [];
-      let packets = List.rev rev in
-      for dst = 0 to g.n_max - 1 do
-        let contrib = List.filter (fun x -> dst < x.x_inst.n) packets in
-        match contrib with
-        | [] -> ()
-        | [ x ] ->
-            Engine.send_at g.eng ~src:slot ~dst
-              ~deliver_at:x.x_deliver.(dst) x.x_tagged
-        | x :: rest ->
-            let deliver_at = x.x_deliver.(dst) in
-            List.iter
-              (fun y ->
-                if y.x_deliver.(dst) <> deliver_at then
-                  invalid_arg
-                    "Multi_runner: cross-instance batching requires one \
-                     uniform delay policy across the group")
-              rest;
-            let entries =
-              List.concat_map (fun y -> batch_entries y.x_tagged) contrib
-            in
-            Engine.send_at g.eng ~src:slot ~dst ~deliver_at
-              (Message.Rbc_batch entries)
-      done
+  for dst = 0 to inst.n - 1 do
+    let delay = max 1 (inst.policy ~rng:inst.rng ~now ~src:slot ~dst) in
+    if inst.observing then
+      observe inst
+        (Engine.Sent
+           { src = slot; dst; at = now; deliver_at = now + delay; msg });
+    Engine.send_at eng ~src:slot ~dst:(inst.base + dst)
+      ~deliver_at:(now + delay) msg
+  done
 
 (* -- the delivery path -------------------------------------------------- *)
 
-let deliver_inst g inst ~slot ~src plain =
-  let at = Engine.now g.eng in
-  inst.delivered <- inst.delivered + 1;
-  inst.events <- inst.events + 1;
-  if at > inst.final_time then inst.final_time <- at;
-  if inst.observing then
-    observe inst (Engine.Delivered { src; dst = slot; at; msg = plain });
-  (* no handler = crashed/Silent party: counted and traced, then dropped,
-     exactly like the engine's own run loop *)
-  match inst.handlers.(slot) with
-  | Some h -> h (Transport.Deliver { src; msg = plain })
-  | None -> ()
-
-(* Range-layout delivery: the popped event already carries the
-   instance's local [src] and an untouched message, so it goes to the
-   party handler exactly as the engine popped it — the counting wrapper
-   allocates only when a monitor or tracer is watching. *)
-let deliver_direct g inst ~local ev =
-  let at = Engine.now g.eng in
+(* The popped event already carries the instance's local [src] and an
+   untouched message, so it goes to the party handler exactly as the
+   engine popped it — the counting wrapper allocates only when a monitor
+   or tracer is watching. *)
+let deliver eng inst ~local ev =
+  let at = Engine.now eng in
   inst.events <- inst.events + 1;
   if at > inst.final_time then inst.final_time <- at;
   (match ev with
@@ -252,91 +139,22 @@ let deliver_direct g inst ~local ev =
   | Transport.Timer tag ->
       if inst.observing then
         observe inst (Engine.Timer_fired { party = local; at; tag }));
+  (* no handler = crashed/Silent party: counted and traced, then dropped,
+     exactly like the engine's own run loop *)
   match inst.handlers.(local) with Some h -> h ev | None -> ()
-
-(* Reshape one instance's segment of a combined packet back to the exact
-   message its dedicated run would have received: [Batch] emits a lone
-   vote as a plain [Rbc] and several as an [Rbc_batch]. *)
-let reshape segment =
-  match segment with
-  | [ (id, step, p) ] -> Message.Rbc (Message.with_instance_id 0 id, step, p)
-  | entries -> Message.with_instance 0 (Message.Rbc_batch entries)
-
-let mixed_instances = function
-  | (first, _, _) :: rest ->
-      List.exists
-        (fun ((id : Message.rbc_id), _, _) ->
-          id.instance <> first.Message.instance)
-        rest
-  | [] -> false
-
-let dispatch g insts ~slot ev =
-  match ev with
-  | Transport.Deliver { src; msg = Message.Rbc_batch entries }
-    when mixed_instances entries ->
-      (* one combined cross-instance packet: split into per-instance
-         segments (contiguous by construction) and deliver each as its
-         own logical packet *)
-      let rec go = function
-        | [] -> ()
-        | ((id : Message.rbc_id), _, _) :: _ as entries ->
-            let j = id.instance in
-            let rec take acc = function
-              | ((e : Message.rbc_id), _, _) as entry :: rest
-                when e.instance = j ->
-                  take (entry :: acc) rest
-              | rest -> (List.rev acc, rest)
-            in
-            let seg, rest = take [] entries in
-            deliver_inst g insts.(j) ~slot ~src (reshape seg);
-            go rest
-      in
-      go entries
-  | Transport.Deliver { src; msg } ->
-      let j = Message.instance_of msg in
-      deliver_inst g insts.(j) ~slot ~src (Message.with_instance 0 msg)
-  | Transport.Timer tag' ->
-      let j = tag' lsr 7 and tag = tag' land 127 in
-      let inst = insts.(j) in
-      let at = Engine.now g.eng in
-      inst.events <- inst.events + 1;
-      if at > inst.final_time then inst.final_time <- at;
-      if inst.observing then
-        observe inst (Engine.Timer_fired { party = slot; at; tag });
-      (match inst.handlers.(slot) with
-      | Some h -> h (Transport.Timer tag)
-      | None -> ())
 
 (* -- group execution ---------------------------------------------------- *)
 
-let run_group ?(monitor = false) ?(batching = false) ?tracer ?on_engine
-    scenarios =
+let run_group ?(monitor = false) ?tracer ?on_engine scenarios =
   match scenarios with
   | [] -> []
   | scenarios ->
       List.iter check_admissible scenarios;
-      if batching then
-        List.iter
-          (fun (s : Scenario.t) ->
-            if s.message_layer <> `Batched then
-              invalid_arg
-                "Multi_runner: ~batching requires every scenario to use the \
-                 `Batched message layer")
-          scenarios;
-      let n_max =
+      let n_max, n_engine =
         List.fold_left
-          (fun acc (s : Scenario.t) -> max acc s.cfg.Config.n)
-          0 scenarios
-      in
-      (* cross-instance batching needs co-resident parties on shared
-         slots; everything else runs the allocation-free range layout *)
-      let overlay = batching in
-      let n_engine =
-        if overlay then n_max
-        else
-          List.fold_left
-            (fun acc (s : Scenario.t) -> acc + s.cfg.Config.n)
-            0 scenarios
+          (fun (m, total) (s : Scenario.t) ->
+            (max m s.cfg.Config.n, total + s.cfg.Config.n))
+          (0, 0) scenarios
       in
       (* The shared engine is pure machinery: its policy and RNG are never
          consulted (every delivery goes through [send_at]), classification
@@ -348,19 +166,8 @@ let run_group ?(monitor = false) ?(batching = false) ?tracer ?on_engine
           ()
       in
       (match on_engine with Some f -> f eng | None -> ());
-      let g =
-        {
-          eng;
-          n_max;
-          overlay;
-          batching;
-          flushing = false;
-          flush_hooks = Array.init n_engine (fun _ -> ref []);
-          xbufs = Array.init n_engine (fun _ -> ref []);
-        }
-      in
       (* shared safe-area memo per (D, ts, ta) class; shared intern table
-         per engine slot *)
+         per party index *)
       let caches : (int * int * int, Safe_cache.t) Hashtbl.t =
         Hashtbl.create 8
       in
@@ -374,19 +181,19 @@ let run_group ?(monitor = false) ?(batching = false) ?tracer ?on_engine
             c
       in
       let interns = Array.make n_max None in
-      let intern_for slot =
-        match interns.(slot) with
+      let intern_for party =
+        match interns.(party) with
         | Some i -> i
         | None ->
             let i = Intern.create () in
-            interns.(slot) <- Some i;
+            interns.(party) <- Some i;
             i
       in
       let bases =
         let acc = ref 0 in
         List.map
           (fun (s : Scenario.t) ->
-            let b = if overlay then 0 else !acc in
+            let b = !acc in
             acc := !acc + s.cfg.Config.n;
             b)
           scenarios
@@ -400,7 +207,6 @@ let run_group ?(monitor = false) ?(batching = false) ?tracer ?on_engine
                let honest_inputs = Scenario.honest_inputs s in
                {
                  s;
-                 j;
                  n = cfg.Config.n;
                  base;
                  rng = Rng.create s.seed;
@@ -425,40 +231,23 @@ let run_group ?(monitor = false) ?(batching = false) ?tracer ?on_engine
       in
       (* parties install their own handlers into their instance's table,
          never into the engine: the engine slots carry the mux's counting
-         wrappers — the overlay's full dispatcher, or the range layout's
-         direct pass-through *)
-      if overlay then
-        for slot = 0 to n_max - 1 do
-          Engine.set_party eng slot (dispatch g insts ~slot)
-        done
-      else
-        Array.iter
-          (fun inst ->
-            for i = 0 to inst.n - 1 do
-              Engine.set_party eng (inst.base + i) (deliver_direct g inst ~local:i)
-            done)
-          insts;
+         pass-through *)
+      Array.iter
+        (fun inst ->
+          for i = 0 to inst.n - 1 do
+            Engine.set_party eng (inst.base + i) (deliver eng inst ~local:i)
+          done)
+        insts;
       let endpoint inst slot : Message.t Transport.endpoint =
         let gslot = inst.base + slot in
         {
           Transport.me = slot;
           n = inst.n;
           now = (fun () -> Engine.now eng);
-          send_all = (fun msg -> mux_broadcast g inst ~slot msg);
+          send_all = (fun msg -> mux_broadcast eng inst ~slot msg);
           set_timer =
-            (fun ~at ~tag ->
-              let tag = if g.overlay then (inst.j lsl 7) lor tag else tag in
-              Engine.set_timer eng ~party:gslot ~at ~tag);
-          register_flush =
-            (fun hook ->
-              let hooks = g.flush_hooks.(gslot) in
-              if !hooks = [] then
-                Engine.set_flusher eng gslot (fun ~final ->
-                    g.flushing <- true;
-                    List.iter (fun h -> h ~final) !hooks;
-                    g.flushing <- false;
-                    if g.batching then emit_cross g ~slot:gslot);
-              hooks := !hooks @ [ hook ]);
+            (fun ~at ~tag -> Engine.set_timer eng ~party:gslot ~at ~tag);
+          register_flush = (fun hook -> Engine.set_flusher eng gslot hook);
           set_handler = (fun h -> inst.handlers.(slot) <- Some h);
         }
       in
@@ -658,11 +447,11 @@ let group_stats results =
 (* -- the differential grid ---------------------------------------------- *)
 
 (* Byte-identity of a multiplexed run against its sequential references:
-   k ∈ {1,4,16} × D ∈ {1,2} × {sync, async} × {silent, poison}, plus a
-   cross-instance batching group. Returns human-readable mismatch
-   descriptions; [] = the determinism contract holds. Used by both
-   [test/test_multi.ml] (asserts []) and [bin/multi_check_main.ml] (the
-   [make multi-check] gate). *)
+   {interned, batched} message layer × k ∈ {1,4,16} × D ∈ {1,2} ×
+   {sync, async} × {silent, poison}, plus an EW group. Returns
+   human-readable mismatch descriptions; [] = the determinism contract
+   holds. Used by both [test/test_multi.ml] (asserts []) and
+   [bin/multi_check_main.ml] (the [make multi-check] gate). *)
 
 let grid_scenario ~name ~cfg ~policy ~sync ~layer ~corrupt ~seed i =
   let n = cfg.Config.n in
@@ -689,7 +478,7 @@ let grid_scenario ~name ~cfg ~policy ~sync ~layer ~corrupt ~seed i =
     ~policy ~sync_network:sync ~corruptions ~message_layer:layer
     ~cfg ~inputs ()
 
-let check_group ~what ?(batching = false) scenarios =
+let check_group ~what scenarios =
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   let capture () =
@@ -704,9 +493,7 @@ let check_group ~what ?(batching = false) scenarios =
       scenarios
   in
   let mux_traces, mux_tracer = capture () in
-  let mux =
-    run_group ~monitor:true ~batching ~tracer:(fun j -> mux_tracer j) scenarios
-  in
+  let mux = run_group ~monitor:true ~tracer:(fun j -> mux_tracer j) scenarios in
   List.iteri
     (fun j ((a : Runner.result), b) ->
       (* the caches field legitimately differs (shared totals) *)
@@ -743,26 +530,31 @@ let check_grid () =
   let failures = ref [] in
   let add fs = failures := !failures @ fs in
   List.iter
-    (fun k ->
+    (fun (prefix, layer) ->
       List.iter
-        (fun (cname, cfg) ->
+        (fun k ->
           List.iter
-            (fun (pname, policy, is_sync) ->
+            (fun (cname, cfg) ->
               List.iter
-                (fun (bname, corrupt) ->
-                  let name =
-                    Printf.sprintf "grid-k%d-%s-%s-%s" k cname pname bname
-                  in
-                  let scenarios =
-                    List.init k
-                      (grid_scenario ~name ~cfg ~policy ~sync:is_sync
-                         ~layer:`Interned ~corrupt ~seed:(41 * k))
-                  in
-                  add (check_group ~what:name scenarios))
-                [ ("silent", `Silent); ("poison", `Poison) ])
-            [ ("sync", sync, true); ("async", asyn, false) ])
-        [ ("d1", cfg1); ("d2", cfg2) ])
-    [ 1; 4; 16 ];
+                (fun (pname, policy, is_sync) ->
+                  List.iter
+                    (fun (bname, corrupt) ->
+                      let name =
+                        Printf.sprintf "%s-k%d-%s-%s-%s" prefix k cname pname
+                          bname
+                      in
+                      let scenarios =
+                        List.init k
+                          (grid_scenario ~name ~cfg ~policy ~sync:is_sync
+                             ~layer ~corrupt ~seed:(41 * k))
+                      in
+                      add (check_group ~what:name scenarios))
+                    [ ("silent", `Silent); ("poison", `Poison) ])
+                [ ("sync", sync, true); ("async", asyn, false) ])
+            [ ("d1", cfg1); ("d2", cfg2) ])
+        [ 1; 4; 16 ])
+    (* the batched arms are the configuration the B14 bench measures *)
+    [ ("grid", `Interned); ("grid-batched", `Batched) ];
   (* EW instances multiplex through the same machinery *)
   let ew =
     List.init 4 (fun i ->
@@ -773,13 +565,4 @@ let check_grid () =
         { s with Scenario.protocol = `Ew })
   in
   add (check_group ~what:"grid-ew" ew);
-  (* cross-instance batching: `Batched instances under one lockstep
-     policy; the combined wire packets must split back into the exact
-     per-instance packets *)
-  let batched =
-    List.init 4
-      (grid_scenario ~name:"grid-batched" ~cfg:cfg1 ~policy:sync ~sync:true
-         ~layer:`Batched ~corrupt:`Silent ~seed:71)
-  in
-  add (check_group ~what:"grid-batched" ~batching:true batched);
   !failures

@@ -1,9 +1,8 @@
 (** The multi-instance engine: many concurrent ΠAA (or EW) scenario
     instances multiplexed onto ONE discrete-event loop, sharing payload
-    intern tables and safe-area memos, with an optional cross-instance
-    batching layer — the high-throughput path for serving thousands of
-    small agreement requests (the B14 saturation bench and the serve
-    front door both run on it).
+    intern tables and safe-area memos — the high-throughput path for
+    serving thousands of small agreement requests (the B14 saturation
+    bench and the serve front door both run on it).
 
     {b Determinism contract} (differential-tested by {!check_grid},
     gated by [make multi-check]): a multiplexed run of [k] admissible
@@ -21,24 +20,19 @@
     per-destination order [Engine.broadcast] would before enqueueing
     through [Engine.send_at].
 
-    Two slot layouts:
-
-    - {e Ranges} (the default, and the fast path): instance [j] owns a
-      contiguous block of engine slots. Messages travel untouched — no
-      instance tag, no per-delivery rewrite — so the steady-state hot
-      path allocates nothing beyond what a dedicated engine would.
-    - {e Overlay} (selected by [~batching]): all instances share slots
-      [[0, n_max)]; the mux stamps the instance id into each message on
-      send and strips it on delivery, and timer tags are multiplexed as
-      [(instance lsl 7) lor tag]. Sharing slots is what lets the
-      cross-instance batcher merge co-resident packets addressed to one
-      receiver into a single wire event.
+    Slot layout: instance [j] owns a contiguous block of engine slots,
+    so the receiving slot identifies the instance. Messages travel
+    untouched — no instance tag, no per-delivery rewrite — so the
+    steady-state hot path allocates nothing beyond what a dedicated
+    engine would; each party's timers and end-of-tick flusher sit on its
+    own slot.
 
     Cache sharing: one {!Safe_cache} per (D, ts, ta) class serves every
     co-resident instance of that class, and one {!Intern} table per
-    engine slot is shared by the honest ΠAA parties on it — a later
-    instance's safe-area lookups land on earlier instances' entries and
-    bypass the LP kernel entirely (the warm-workspace story). *)
+    party index is shared by the honest ΠAA parties with that index — a
+    later instance's safe-area lookups land on earlier instances'
+    entries and bypass the LP kernel entirely (the warm-workspace
+    story). *)
 
 (** Shared-cache effectiveness totals for a batch of results, with the
     per-class replication of {!Runner.result}[.caches] deduplicated. *)
@@ -55,13 +49,12 @@ val muxable : Scenario.t -> bool
 (** [muxable s] is whether [s] can join a multiplexed group: [`Sim]
     transport, no wire/engine chaos, no isolation, no [max_events]
     budget (a [wall_seconds] budget is fine — it grades liveness, not
-    event order), batch window 1, and only [Silent] /
+    event order), and only [Silent] /
     [Honest_with_input] corruptions. {!run_many} runs non-muxable
     scenarios on dedicated engines instead. *)
 
 val run_group :
   ?monitor:bool ->
-  ?batching:bool ->
   ?tracer:(int -> Message.t Engine.trace_event -> unit) ->
   ?on_engine:(Message.t Engine.t -> unit) ->
   Scenario.t list ->
@@ -69,12 +62,6 @@ val run_group :
 (** [run_group scenarios] runs every scenario to termination on one
     shared engine and returns results in input order. Raises
     [Invalid_argument] if any scenario is not {!muxable}.
-
-    [~batching:true] selects the overlay layout and merges co-resident
-    per-tick vote packets to each receiver into combined wire packets;
-    it requires every scenario to use the [`Batched] message layer (and
-    is only byte-faithful when all instances share one uniform-delay
-    policy, as the differential grid's batching arm pins down).
     [?tracer j] observes instance [j]'s engine trace events.
     [?on_engine] receives the shared engine right after creation (before
     any instance attaches) — the seam the choice-point-hook tests use to
@@ -103,7 +90,7 @@ val group_stats : Runner.result list -> group_stats
     into every member of a cache class. *)
 
 val check_group :
-  what:string -> ?batching:bool -> Scenario.t list -> string list
+  what:string -> Scenario.t list -> string list
 (** [check_group ~what scenarios] runs the group sequentially and
     multiplexed (both fully monitored and traced) and returns one
     human-readable line per byte-level divergence — results, monitor
@@ -111,8 +98,8 @@ val check_group :
     the determinism contract holds for this group. *)
 
 val check_grid : unit -> string list
-(** The full differential grid: k ∈ {1,4,16} × D ∈ {1,2} ×
-    {sync, async} × {silent, poison}, plus an EW group and a
-    cross-instance batching group. Returns all mismatch descriptions
+(** The full differential grid: {interned, batched} message layer ×
+    k ∈ {1,4,16} × D ∈ {1,2} × {sync, async} × {silent, poison}, plus
+    an EW group. Returns all mismatch descriptions
     ([[]] = clean); both [test/test_multi.ml] and the [make multi-check]
     gate assert emptiness. *)

@@ -75,8 +75,8 @@ let attach_party ~(scenario : Scenario.t) ?hooks ?intern ~safe_cache ~ew_iters
       in
       let p =
         Party.attach_endpoint ~callbacks ?mutant:s.mutant ~mode:s.mode
-          ~message_layer:s.message_layer ~batch_window:s.batch_window
-          ~update_kernel:s.update_kernel ~safe_cache ?intern ~cfg ep
+          ~message_layer:s.message_layer ~update_kernel:s.update_kernel
+          ~safe_cache ?intern ~cfg ep
       in
       {
         a_start = Party.start p;

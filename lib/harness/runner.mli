@@ -91,11 +91,11 @@ val attach_party :
   attached
 (** Attaches the scenario's protocol ([`Maaa] → {!Party}, [`Ew] →
     {!Ew_aa}) onto the endpoint with the scenario's full configuration
-    (mutant, message layer, batch window, update kernel). The one seam
+    (mutant, message layer, update kernel). The one seam
     both {!run} and {!Multi_runner} build parties through, so a
     multiplexed party is configured exactly like a dedicated-engine one.
     [?intern] (ΠAA only) lets the multi-instance runner share one payload
-    table per engine slot across co-resident instances. *)
+    table per party index across co-resident instances. *)
 
 val grade :
   scenario:Scenario.t ->

@@ -15,7 +15,6 @@ type t = {
   mode : Party.mode;
   isolate : bool;
   message_layer : [ `Interned | `Reference | `Batched ];
-  batch_window : int;
   update_kernel : Safe_cache.kernel;
   protocol : [ `Maaa | `Ew ];
   transport : [ `Sim | `Net ];
@@ -25,8 +24,7 @@ type t = {
 
 let make ?(name = "scenario") ?(seed = 1L) ?policy ?(sync_network = true)
     ?(corruptions = []) ?chaos ?mutant ?(mode = Party.Estimate)
-    ?(isolate = false)
-    ?(message_layer = `Interned) ?(batch_window = 1)
+    ?(isolate = false) ?(message_layer = `Interned)
     ?(update_kernel = `Safe_area) ?(protocol = `Maaa) ?(transport = `Sim)
     ?wire_chaos ?(budget = no_budget) ~cfg ~inputs () =
   if List.length inputs <> cfg.Config.n then
@@ -50,7 +48,6 @@ let make ?(name = "scenario") ?(seed = 1L) ?policy ?(sync_network = true)
       match Fault_plan.validate ~cfg ~sync:sync_network ~existing:ids plan with
       | Ok () -> ()
       | Error msg -> invalid_arg ("Scenario.make: bad fault plan: " ^ msg)));
-  if batch_window < 1 then invalid_arg "Scenario.make: batch_window < 1";
   (match (wire_chaos, transport) with
   | Some _, `Sim ->
       invalid_arg "Scenario.make: wire_chaos requires the `Net transport"
@@ -82,7 +79,6 @@ let make ?(name = "scenario") ?(seed = 1L) ?policy ?(sync_network = true)
     mode;
     isolate;
     message_layer;
-    batch_window;
     update_kernel;
     protocol;
     transport;

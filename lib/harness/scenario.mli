@@ -50,10 +50,6 @@ type t = {
           [`Batched] coalesces each party's per-tick rBC votes into one
           combined packet per receiver (ignored under [`Ew], which has no
           rBC traffic) *)
-  batch_window : int;
-      (** cross-tick aggregation window for the [`Batched] layer (see
-          {!Batch.create}); [1] (default) = the per-tick behaviour.
-          Ignored unless [message_layer] is [`Batched]. *)
   update_kernel : Safe_cache.kernel;
       (** iteration update rule for honest parties (see {!Party.attach}):
           the paper's safe-area midpoint (default) or the centroid-style
@@ -89,7 +85,6 @@ val make :
   ?mode:Party.mode ->
   ?isolate:bool ->
   ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
   ?update_kernel:Safe_cache.kernel ->
   ?protocol:[ `Maaa | `Ew ] ->
   ?transport:[ `Sim | `Net ] ->

@@ -136,7 +136,7 @@ let try_fire t =
       t.sent_wset <- true;
       t.cb.send_all
         (Message.Witness_set
-           { instance = 0; parties = IntSet.elements t.witnesses })
+           { parties = IntSet.elements t.witnesses })
     end;
     recheck_wsets t;
     let gate =

@@ -110,7 +110,7 @@ let rec join_iteration t it =
         rbc_broadcast =
           (fun payload ->
             Rbc.broadcast (rbc t)
-              { Message.tag = Message.Obc_value it; origin = t.me; instance = 0 }
+              { Message.tag = Message.Obc_value it; origin = t.me }
               payload);
         send_all = t.send_all;
         output = (fun mset -> on_obc_output t it mset);
@@ -163,9 +163,7 @@ and try_advance t =
           if (not t.sent_halt) && Some completed = t.t_estimate then begin
             t.sent_halt <- true;
             Rbc.broadcast (rbc t)
-              { Message.tag = Message.Halt completed;
-                origin = t.me;
-                instance = 0 }
+              { Message.tag = Message.Halt completed; origin = t.me }
               (Message.Pint completed)
           end;
           try_halt_output t;
@@ -204,7 +202,7 @@ let on_rbc_deliver t (id : Message.rbc_id) payload =
   | _ -> ()
 
 let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
-    ?(message_layer = `Interned) ?(batch_window = 1) ?register_flush
+    ?(message_layer = `Interned) ?register_flush
     ?safe_cache ?intern ?(update_kernel = `Safe_area) ~cfg ~me ~now ~send_all
     ~set_timer () =
   let impl =
@@ -214,11 +212,11 @@ let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
   in
   let batch =
     match message_layer with
-    | `Batched -> Some (Batch.create ~window:batch_window ~send_all ())
+    | `Batched -> Some (Batch.create ~send_all ())
     | `Interned | `Reference -> None
   in
   (match (batch, register_flush) with
-  | Some b, Some reg -> reg (fun ~final -> Batch.flush ~final b)
+  | Some b, Some reg -> reg (fun ~final:_ -> Batch.flush b)
   | Some _, None ->
       invalid_arg "Party.create: `Batched needs an end-of-tick register_flush"
   | None, _ -> ());
@@ -286,7 +284,7 @@ let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
            rbc_broadcast =
              (fun tag payload ->
                Rbc.broadcast (rbc t)
-                 { Message.tag; origin = me; instance = 0 }
+                 { Message.tag; origin = me }
                  payload);
            send_all;
            output = (fun tt v0 -> on_init_output t tt v0);
@@ -359,14 +357,13 @@ let handle t (ev : Message.t Transport.event) =
    endpoint record exposes — this is the whole-protocol seam between
    [lib/maaa] and whichever backend (simulator engine, or the engine
    driving the loopback TCP wire) carries the traffic. *)
-let attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
-    ?safe_cache ?intern ?update_kernel ~cfg (ep : Message.t Transport.endpoint)
-    =
+let attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?safe_cache
+    ?intern ?update_kernel ~cfg (ep : Message.t Transport.endpoint) =
   if ep.Transport.n <> cfg.Config.n then
     invalid_arg "Party.attach_endpoint: endpoint/config n mismatch";
   let t =
-    create ?callbacks ?mode ?mutant ?message_layer ?batch_window ?safe_cache
-      ?intern ?update_kernel ~cfg ~me:ep.Transport.me
+    create ?callbacks ?mode ?mutant ?message_layer ?safe_cache ?intern
+      ?update_kernel ~cfg ~me:ep.Transport.me
       ~register_flush:ep.Transport.register_flush ~now:ep.Transport.now
       ~send_all:ep.Transport.send_all
       ~set_timer:(fun ~at -> ep.Transport.set_timer ~at ~tag:0)
@@ -375,8 +372,8 @@ let attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
   ep.Transport.set_handler (handle t);
   t
 
-let attach ?callbacks ?mode ?mutant ?message_layer ?batch_window ?safe_cache
-    ?intern ?update_kernel ~cfg ~me engine =
-  attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?batch_window
-    ?safe_cache ?intern ?update_kernel ~cfg
+let attach ?callbacks ?mode ?mutant ?message_layer ?safe_cache ?intern
+    ?update_kernel ~cfg ~me engine =
+  attach_endpoint ?callbacks ?mode ?mutant ?message_layer ?safe_cache ?intern
+    ?update_kernel ~cfg
     (Engine.endpoint engine ~me)

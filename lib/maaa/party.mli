@@ -51,7 +51,6 @@ val create :
   ?mode:mode ->
   ?mutant:mutant ->
   ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
   ?register_flush:(((final:bool -> unit) -> unit)) ->
   ?safe_cache:Safe_cache.t ->
   ?intern:Intern.t ->
@@ -65,18 +64,16 @@ val create :
   t
 (** [register_flush] must be provided when [message_layer] is [`Batched]:
     it receives the party's end-of-tick flush closure and is expected to
-    arrange for it to run once per tick, plus a last [~final:true] fire
-    before the run goes quiescent ({!attach} wires it to
-    [Engine.set_flusher]). Raises [Invalid_argument] if [`Batched] is
-    requested without it. [batch_window] (default [1]) is handed to
-    {!Batch.create}: the opt-in cross-tick aggregation window. *)
+    arrange for it to run once per tick ({!attach} wires it to
+    [Engine.set_flusher]). The closure flushes everything on every call,
+    so it ignores [~final]. Raises [Invalid_argument] if [`Batched] is
+    requested without it. *)
 
 val attach_endpoint :
   ?callbacks:callbacks ->
   ?mode:mode ->
   ?mutant:mutant ->
   ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
   ?safe_cache:Safe_cache.t ->
   ?intern:Intern.t ->
   ?update_kernel:Safe_cache.kernel ->
@@ -94,7 +91,6 @@ val attach :
   ?mode:mode ->
   ?mutant:mutant ->
   ?message_layer:[ `Interned | `Reference | `Batched ] ->
-  ?batch_window:int ->
   ?safe_cache:Safe_cache.t ->
   ?intern:Intern.t ->
   ?update_kernel:Safe_cache.kernel ->
@@ -110,9 +106,10 @@ val attach :
     every per-iteration oBC instance, created fresh per party — so a run
     never sees another run's payload ids — unless the caller passes
     [intern], which substitutes a shared table (the multi-instance
-    engine shares one table per slot across co-resident instances; safe
-    because ids never leave the party and vote tables are keyed by the
-    instance-carrying rBC id). [`Reference] wires the seed
+    engine shares one table per party index across co-resident
+    instances). Sharing is safe because the table gives structurally
+    equal payloads one id whichever party interns them first, and each
+    party keeps its own vote tables. [`Reference] wires the seed
     Map-based layers instead; both produce bit-identical traces.
     [`Batched] runs the interned vote tables behind a {!Batch} egress
     buffer: all rBC votes emitted within a tick leave as one combined

@@ -56,10 +56,9 @@ let wtag b = function
       w8 b 5;
       w32 b it
 
-let wid b { Message.tag; origin; instance } =
+let wid b { Message.tag; origin } =
   wtag b tag;
-  w32 b origin;
-  w32 b instance
+  w32 b origin
 
 let wstep b = function
   | Message.Init -> w8 b 0
@@ -93,35 +92,30 @@ let write b = function
       w8 b 1;
       w32 b (List.length entries);
       List.iter (wentry b) entries
-  | Message.Obc_report { instance; iter; pairs } ->
+  | Message.Obc_report { iter; pairs } ->
       w8 b 2;
-      w32 b instance;
       w32 b iter;
       wpairs b pairs
-  | Message.Witness_set { instance; parties } ->
+  | Message.Witness_set { parties } ->
       w8 b 3;
-      w32 b instance;
       wparties b parties
   | Message.Sync_round { round; value } ->
       w8 b 4;
       w32 b round;
       wvec b value
-  | Message.Ew_value { instance; iter; value } ->
+  | Message.Ew_value { iter; value } ->
       w8 b 5;
-      w32 b instance;
       w32 b iter;
       wvec b value
-  | Message.Ew_report { instance; iter; pairs } ->
+  | Message.Ew_report { iter; pairs } ->
       w8 b 6;
-      w32 b instance;
       w32 b iter;
       wpairs b pairs
   | Message.Junk n ->
       w8 b 7;
       w32 b n
-  | Message.Ew_echo { instance; iter; pairs } ->
+  | Message.Ew_echo { iter; pairs } ->
       w8 b 8;
-      w32 b instance;
       w32 b iter;
       wpairs b pairs
 
@@ -190,8 +184,7 @@ let rtag c =
 let rid c =
   let tag = rtag c in
   let origin = r32 c in
-  let instance = r32 c in
-  { Message.tag; origin; instance }
+  { Message.tag; origin }
 
 let rstep c =
   match r8 c with
@@ -223,28 +216,22 @@ let read c =
       let n = rlen c "batch entry" in
       Message.Rbc_batch (List.init n (fun _ -> rentry c))
   | 2 ->
-      let instance = r32 c in
       let iter = r32 c in
-      Message.Obc_report { instance; iter; pairs = rpairs c }
-  | 3 ->
-      let instance = r32 c in
-      Message.Witness_set { instance; parties = rparties c }
+      Message.Obc_report { iter; pairs = rpairs c }
+  | 3 -> Message.Witness_set { parties = rparties c }
   | 4 ->
       let round = r32 c in
       Message.Sync_round { round; value = rvec c }
   | 5 ->
-      let instance = r32 c in
       let iter = r32 c in
-      Message.Ew_value { instance; iter; value = rvec c }
+      Message.Ew_value { iter; value = rvec c }
   | 6 ->
-      let instance = r32 c in
       let iter = r32 c in
-      Message.Ew_report { instance; iter; pairs = rpairs c }
+      Message.Ew_report { iter; pairs = rpairs c }
   | 7 -> Message.Junk (r32 c)
   | 8 ->
-      let instance = r32 c in
       let iter = r32 c in
-      Message.Ew_echo { instance; iter; pairs = rpairs c }
+      Message.Ew_echo { iter; pairs = rpairs c }
   | k -> bad "unknown message kind %d" k
 
 let decode bytes =

@@ -6,7 +6,7 @@ type tag =
   | Async_value of int
   | Async_report of int
 
-type rbc_id = { tag : tag; origin : int; instance : int }
+type rbc_id = { tag : tag; origin : int }
 
 type payload =
   | Pvec of Vec.t
@@ -19,12 +19,12 @@ type step = Init | Echo | Ready
 type t =
   | Rbc of rbc_id * step * payload
   | Rbc_batch of (rbc_id * step * payload) list
-  | Obc_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
-  | Witness_set of { instance : int; parties : int list }
+  | Obc_report of { iter : int; pairs : (int * Vec.t) list }
+  | Witness_set of { parties : int list }
   | Sync_round of { round : int; value : Vec.t }
-  | Ew_value of { instance : int; iter : int; value : Vec.t }
-  | Ew_echo of { instance : int; iter : int; pairs : (int * Vec.t) list }
-  | Ew_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Ew_value of { iter : int; value : Vec.t }
+  | Ew_echo of { iter : int; pairs : (int * Vec.t) list }
+  | Ew_report of { iter : int; pairs : (int * Vec.t) list }
   | Junk of int
 
 let size_of_payload = function
@@ -50,43 +50,6 @@ let size_of = function
   | Ew_echo { pairs; _ } -> 16 + size_of_payload (Ppairs pairs)
   | Ew_report { pairs; _ } -> 16 + size_of_payload (Ppairs pairs)
   | Junk n -> 16 + n
-
-(* -- instance multiplexing -- *)
-
-let with_instance_id j (id : rbc_id) =
-  if id.instance = j then id else { id with instance = j }
-
-let with_instance j = function
-  | Rbc (id, step, p) -> Rbc (with_instance_id j id, step, p)
-  | Rbc_batch entries ->
-      Rbc_batch
-        (List.map (fun (id, step, p) -> (with_instance_id j id, step, p))
-           entries)
-  | Obc_report r ->
-      if r.instance = j then Obc_report r
-      else Obc_report { r with instance = j }
-  | Witness_set w ->
-      if w.instance = j then Witness_set w
-      else Witness_set { w with instance = j }
-  | Ew_value r ->
-      if r.instance = j then Ew_value r else Ew_value { r with instance = j }
-  | Ew_echo r ->
-      if r.instance = j then Ew_echo r else Ew_echo { r with instance = j }
-  | Ew_report r ->
-      if r.instance = j then Ew_report r else Ew_report { r with instance = j }
-  | (Sync_round _ | Junk _) as m -> m
-
-let instance_of = function
-  | Rbc (id, _, _) -> id.instance
-  | Rbc_batch ((id, _, _) :: _) -> id.instance
-  | Rbc_batch [] -> 0
-  | Obc_report { instance; _ }
-  | Witness_set { instance; _ }
-  | Ew_value { instance; _ }
-  | Ew_echo { instance; _ }
-  | Ew_report { instance; _ } ->
-      instance
-  | Sync_round _ | Junk _ -> 0
 
 let pp_tag ppf = function
   | Init_value -> Format.fprintf ppf "init-value"

@@ -7,13 +7,10 @@
     the role of the "identification numbers" the paper attaches to messages
     and then omits for presentation.
 
-    On top of that, every multiplexable message carries a protocol
-    {e instance} id: the multi-instance engine ({!Multi_runner}) hosts many
-    concurrent ΠAA/EW runs in one event loop, and the instance id is what
-    keeps their vote tables apart — exactly the way rBC ids already keep
-    concurrent broadcasts apart. Single-run code constructs everything with
-    [instance = 0]; the multiplexer rewrites ids at its send boundary with
-    {!with_instance} and routes deliveries with {!instance_of}. *)
+    Messages carry no protocol-run id. The multi-instance engine
+    ({!Multi_runner}) gives every concurrent ΠAA/EW run its own block of
+    engine slots, so the receiving slot, not the message, says which run
+    a delivery belongs to. *)
 
 type tag =
   | Init_value  (** Πinit: input distribution *)
@@ -23,7 +20,7 @@ type tag =
   | Async_value of int  (** pure-async baseline: iteration values *)
   | Async_report of int  (** pure-async baseline: witness reports *)
 
-type rbc_id = { tag : tag; origin : int; instance : int }
+type rbc_id = { tag : tag; origin : int }
 
 type payload =
   | Pvec of Vec.t
@@ -40,43 +37,30 @@ type t =
       (** batched message layer: every rBC vote a party emits within one
           delivery tick, across all concurrent instances, packed into one
           packet per (sender, receiver). Entries are in emission order. *)
-  | Obc_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Obc_report of { iter : int; pairs : (int * Vec.t) list }
       (** ΠoBC's best-effort report (line 6 of the protocol) *)
-  | Witness_set of { instance : int; parties : int list }
+  | Witness_set of { parties : int list }
       (** Πinit line 13: best-effort witness sets *)
   | Sync_round of { round : int; value : Vec.t }
       (** pure-synchronous baseline: round-[r] value exchange *)
-  | Ew_value of { instance : int; iter : int; value : Vec.t }
+  | Ew_value of { iter : int; value : Vec.t }
       (** Erbes–Wattenhofer quadratic AA: direct iteration-[iter] value *)
-  | Ew_echo of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Ew_echo of { iter : int; pairs : (int * Vec.t) list }
       (** Erbes–Wattenhofer quadratic AA, equivocation defence: the sender
           vouches that it received value [v] directly from party [p], for
           each listed pair. A pair enters a receiver's value set only once
           [n − t] distinct parties echo the same [(p, v)] — the
           echo-confirmation quorum that replaces per-value reliable
           broadcast (see {!Ew_aa}). *)
-  | Ew_report of { instance : int; iter : int; pairs : (int * Vec.t) list }
+  | Ew_report of { iter : int; pairs : (int * Vec.t) list }
       (** Erbes–Wattenhofer quadratic AA: direct witness report *)
   | Junk of int  (** adversarial noise *)
 
-val with_instance_id : int -> rbc_id -> rbc_id
-(** Retags one rBC id (physically equal when already tagged [j]). *)
-
-val with_instance : int -> t -> t
-(** [with_instance j m] retags [m] (including every {!Rbc_batch} entry)
-    with instance id [j]. Physically returns [m] itself when the tag is
-    already [j] — single-instance traffic pays nothing. [Sync_round] and
-    [Junk] are not multiplexable and pass through unchanged. *)
-
-val instance_of : t -> int
-(** The instance id a delivery routes to; 0 for non-multiplexable
-    messages. A batch routes by its first entry (mixed batches are split
-    by the multiplexer before routing). *)
-
 val size_of : t -> int
-(** Approximate serialised size in bytes, for traffic accounting. The
-    16-byte header already accounts for the instance id, so sizes are
-    identical whichever instance a message is tagged with. *)
+(** Approximate serialised size in bytes, for traffic accounting: a
+    16-byte packet header plus the body. The constants are fixed for
+    comparability across versions, not derived from the net codec's
+    byte layout. *)
 
 val size_of_entry : rbc_id * step * payload -> int
 (** Wire cost of one {!Rbc_batch} entry: an 8-byte (tag, origin, step)

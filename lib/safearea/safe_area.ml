@@ -4,9 +4,29 @@ type t =
   | Spatial of Hull3d.poly
   | Implicit of Hullset.t
 
+(* [Float.compare] with ties broken on the bits, so that 0. and -0. (and
+   NaN payloads) have one canonical order: -0. sorts before 0. *)
+let compare_bits x y =
+  let c = Float.compare x y in
+  if c <> 0 then c
+  else Int64.compare (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let compare_vec_bits (u : Vec.t) (v : Vec.t) =
+  let u = (u :> float array) and v = (v :> float array) in
+  let c = Int.compare (Array.length u) (Array.length v) in
+  if c <> 0 then c
+  else
+    let rec go i =
+      if i = Array.length u then 0
+      else
+        let c = compare_bits u.(i) v.(i) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+
 let compute_1d ~t vs =
   let arr = Array.map (fun v -> Vec.get v 0) vs in
-  Array.sort Float.compare arr;
+  Array.sort compare_bits arr;
   let m = Array.length arr in
   (* The intersection's lower end is the largest attainable subset minimum,
      reached by dropping the [t] smallest values; symmetrically above. *)
@@ -48,13 +68,11 @@ let compute_arr ~t vs =
   if m = 0 then invalid_arg "Safe_area.compute: empty multiset";
   if t < 0 || t >= m then invalid_arg "Safe_area.compute: need 0 <= t < |M|";
   (* Canonicalise the multiset order so the result — including its floating
-     point noise — is independent of the order values were received in.
-     (Vectors comparing equal are coordinate-identical up to the sign of
-     zero coordinates, which [Float.compare] does not see: where a multiset
-     mixes 0. and -0. in one coordinate, the unstable sort leaves those
-     values in an order that depends on their arrival order.) *)
+     point noise and the signs of its zeros — is independent of the order
+     values were received in. Vectors equal under this order are
+     bit-identical, so the unstable sort cannot leak arrival order. *)
   let vs = Array.copy vs in
-  Array.sort Vec.compare vs;
+  Array.sort compare_vec_bits vs;
   match Vec.dim vs.(0) with
   | 1 -> compute_1d ~t vs
   | 2 -> compute_2d ~t vs

@@ -261,11 +261,11 @@ let flush_tick t =
 let pump t =
   match t.wire with None -> false | Some w -> w.wire_pump ()
 
-(* Last-chance flush before the run goes quiescent: hooks that coalesce
-   across ticks (a cross-tick batch window) may still hold traffic that
-   no further tick would ever flush. Runs every flusher with
-   [final = true]; progress is detected through the send counter, which
-   both the direct and the wire send paths bump. *)
+(* Last-chance flush before the run goes quiescent: a hook that coalesces
+   across ticks may still hold traffic that no further tick would ever
+   flush. Runs every flusher with [final = true]; progress is detected
+   through the send counter, which both the direct and the wire send
+   paths bump. *)
 let final_flush t =
   if not t.has_flushers then false
   else begin

@@ -82,9 +82,9 @@ val set_flusher : 'msg t -> int -> (final:bool -> unit) -> unit
 
     When the run is about to go quiescent (queue drained, no per-tick
     flush produced traffic, wire drained) every flusher additionally
-    runs with [final = true]: a hook holding cross-tick state (the
-    opt-in batch window) must emit it then or lose it. Hooks that flush
-    everything on every call can ignore the flag. *)
+    runs with [final = true]: a hook that holds traffic across ticks
+    must emit it then or lose it. Hooks that flush everything on every
+    call, like the batched layer's, can ignore the flag. *)
 
 val endpoint : 'msg t -> me:int -> 'msg Transport.endpoint
 (** Party [me]'s view of this engine as an abstract {!Transport.endpoint}

@@ -164,6 +164,12 @@ echo "== serve throughput smoke (printed, not gated) =="
 # failed request makes the smoke itself exit non-zero
 dune exec bin/serve_main.exe -- --throughput-smoke 64
 
+echo "== perfbench self-test (benchmark builds, failure accounting) =="
+# builds the end-to-end benchmark from this checkout, so a library API
+# change that breaks its build fails here, then checks that a failed
+# operation is counted as failed
+bash perfbench/run.sh --self-test
+
 echo "== bench smoke run =="
 dune exec bench/main.exe -- --smoke --json _build/BENCH_smoke.json
 grep -q '"schema": "maaa-bench/2"' _build/BENCH_smoke.json

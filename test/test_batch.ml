@@ -13,7 +13,7 @@ let vec l = Vec.of_list l
 
 (* --- Batch buffer unit tests --- *)
 
-let id_ tag origin = { Message.tag; origin; instance = 0 }
+let id_ tag origin = { Message.tag; origin }
 
 let test_batch_buffer () =
   let sent = ref [] in
@@ -43,36 +43,6 @@ let test_batch_buffer () =
   Alcotest.(check int) "lifetime votes" 3 (Batch.buffered b);
   Alcotest.(check int) "non-empty flushes" 2 (Batch.flushes b);
   Alcotest.(check int) "nothing pending" 0 (Batch.pending b)
-
-(* A window-2 buffer holds its votes through the first fire, emits on the
-   second, and always emits on a final fire regardless of the count. *)
-let test_batch_window () =
-  let sent = ref [] in
-  let b = Batch.create ~window:2 ~send_all:(fun m -> sent := m :: !sent) () in
-  Batch.add b (id_ Message.Init_value 0) Message.Init (Message.Pvec (vec [ 1. ]));
-  Batch.flush b;
-  Alcotest.(check int) "held through first fire" 1 (Batch.pending b);
-  Batch.add b (id_ Message.Init_value 1) Message.Echo (Message.Pvec (vec [ 2. ]));
-  Batch.flush b;
-  Alcotest.(check int) "emitted on second fire" 0 (Batch.pending b);
-  (match !sent with
-  | [ Message.Rbc_batch entries ] ->
-      Alcotest.(check int) "both ticks' votes coalesced" 2 (List.length entries)
-  | _ -> Alcotest.fail "window flush must send one Rbc_batch");
-  sent := [];
-  (* an empty fire must not age the window of votes that arrive later *)
-  Batch.flush b;
-  Batch.add b (id_ Message.Init_value 2) Message.Ready (Message.Pint 7);
-  Batch.flush b;
-  Alcotest.(check int) "empty fire did not count" 1 (Batch.pending b);
-  Batch.flush ~final:true b;
-  Alcotest.(check int) "final fire drains" 0 (Batch.pending b);
-  (match !sent with
-  | [ Message.Rbc (_, Message.Ready, _) ] -> ()
-  | _ -> Alcotest.fail "final singleton leaves as a plain Rbc");
-  match Batch.create ~window:0 ~send_all:(fun _ -> ()) () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "window 0 must be rejected"
 
 (* --- engine end-of-tick flusher --- *)
 
@@ -187,7 +157,7 @@ let test_grid_differential () =
 
 (* --- expanded logical trace: same vote multiset, same ticks --- *)
 
-let logical_sends ?batch_window message_layer =
+let logical_sends message_layer =
   let n = 5 in
   let cfg = Config.make_exn ~n ~ts:1 ~ta:1 ~d:2 ~eps:0.1 ~delta:10 in
   let inputs =
@@ -213,7 +183,7 @@ let logical_sends ?batch_window message_layer =
       | _ -> ());
   let parties =
     List.init n (fun i ->
-        Party.attach ~message_layer ?batch_window ~cfg ~me:i engine)
+        Party.attach ~message_layer ~cfg ~me:i engine)
   in
   List.iteri (fun i p -> Party.start p (List.nth inputs i)) parties;
   Engine.run engine;
@@ -228,29 +198,6 @@ let test_logical_trace () =
     "every vote leaves and lands at the reference layer's ticks" true
     (compare sa sb = 0);
   Alcotest.(check bool) "outputs equal" true (compare oa ob = 0)
-
-(* Window > 1 shifts send ticks (by at most window − 1), which lawfully
-   changes which report subsets cross the protocol's thresholds first —
-   payload {e values} may diverge. What the buffer must preserve is the
-   vote {e identity} multiset: who casts which (instance, step) vote to
-   whom, with none lost to the window and none duplicated by it. The run
-   must also still converge. *)
-let test_window_logical_trace () =
-  let strip sends =
-    List.sort compare
-      (List.map
-         (fun (_, _, src, dst, (id, step, _payload)) -> (src, dst, id, step))
-         sends)
-  in
-  let sw, ow = logical_sends ~batch_window:3 `Batched in
-  let sb, _ = logical_sends `Batched in
-  Alcotest.(check int) "same number of logical votes" (List.length sb)
-    (List.length sw);
-  Alcotest.(check bool)
-    "same vote-identity multiset modulo ticks" true
-    (compare (strip sw) (strip sb) = 0);
-  Alcotest.(check bool) "windowed run produced outputs" true
-    (List.for_all Option.is_some ow)
 
 (* --- the message wall: ≥3× packet reduction at n = 12 --- *)
 
@@ -317,7 +264,6 @@ let () =
       ( "batch buffer",
         [
           Alcotest.test_case "encoder" `Quick test_batch_buffer;
-          Alcotest.test_case "cross-tick window" `Quick test_batch_window;
           Alcotest.test_case "engine end-of-tick flusher" `Quick
             test_engine_flusher;
         ] );
@@ -327,8 +273,6 @@ let () =
             test_grid_differential;
           Alcotest.test_case "logical vote trace identical" `Quick
             test_logical_trace;
-          Alcotest.test_case "window > 1: vote multiset preserved" `Quick
-            test_window_logical_trace;
           Alcotest.test_case "3x packet reduction at n=12" `Quick
             test_reduction_n12;
         ] );

@@ -236,7 +236,7 @@ let test_monitor_clean_run () =
          deliver_at = 2;
          msg =
            Message.Rbc
-             ( { Message.tag = Message.Obc_value 1; origin = 0; instance = 0 },
+             ( { Message.tag = Message.Obc_value 1; origin = 0 },
                Message.Init,
                Message.Pvec (v1 1.) );
        });
@@ -288,7 +288,7 @@ let test_monitor_malformed_honest_message () =
   send (Message.Junk 9);
   send
     (Message.Rbc
-       ( { Message.tag = Message.Obc_value 1; origin = 9; instance = 0 },
+       ( { Message.tag = Message.Obc_value 1; origin = 9 },
          Message.Init,
          Message.Pvec (v1 1.) ));
   send (Message.Sync_round { round = 1; value = Vec.of_list [ 1.; 2. ] });

@@ -293,7 +293,7 @@ let ew_equivocation_run ~defence =
     (fun dst ->
       Engine.send engine ~src:3 ~dst
         (Message.Ew_value
-           { instance = 0; iter = 1; value = (if dst = 2 then vb else va) }))
+           { iter = 1; value = (if dst = 2 then vb else va) }))
     honest;
   Engine.run engine;
   List.map (fun (i, p) -> (i, Ew_aa.output p)) parties

@@ -252,23 +252,23 @@ let test_traffic_classification () =
   let checks =
     [
       ( Message.Rbc
-          ({ tag = Message.Init_value; origin = 0; instance = 0 },
+          ({ tag = Message.Init_value; origin = 0 },
             Message.Echo,
             Message.Pvec v ),
         Traffic.Init_rbc );
       ( Message.Rbc
-          ({ tag = Message.Obc_value 3; origin = 0; instance = 0 },
+          ({ tag = Message.Obc_value 3; origin = 0 },
             Message.Ready,
             Message.Pvec v ),
         Traffic.Iteration_rbc );
       ( Message.Rbc
-          ({ tag = Message.Halt 2; origin = 0; instance = 0 },
+          ({ tag = Message.Halt 2; origin = 0 },
             Message.Init,
             Message.Pint 2 ),
         Traffic.Halt_rbc );
-      (Message.Obc_report { instance = 0; iter = 1; pairs = [] },
+      (Message.Obc_report { iter = 1; pairs = [] },
         Traffic.Obc_reports );
-      (Message.Witness_set { instance = 0; parties = [ 1 ] },
+      (Message.Witness_set { parties = [ 1 ] },
         Traffic.Witness_sets );
       (Message.Sync_round { round = 0; value = v }, Traffic.Baseline);
       (Message.Junk 3, Traffic.Junk);

@@ -46,7 +46,7 @@ let test_admission () =
   Alcotest.check_raises "run_group refuses inadmissible"
     (Invalid_argument
        "Multi_runner: scenario \"scenario\" is not admissible (needs Sim \
-        transport, no chaos/isolate/max_events, batch_window 1, and only \
+        transport, no chaos/isolate/max_events, and only \
         Silent/Honest_with_input corruptions)")
     (fun () ->
       ignore

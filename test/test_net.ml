@@ -67,6 +67,102 @@ let prop_garbage =
       in
       drain ())
 
+(* -- message codec: every constructor, exact float bits --------------- *)
+
+(* Coordinates the sim-as-oracle differential must carry bit for bit:
+   both zeros, both infinities, quiet/signalling/negative NaNs. *)
+let gen_coord =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            0.; -0.; infinity; neg_infinity; nan; Float.min_float; 1e-310;
+            Int64.float_of_bits 0x7ff0000000000001L;
+            Int64.float_of_bits 0xfff8000000000000L;
+          ];
+        float;
+      ])
+
+let gen_int32 =
+  QCheck.Gen.(
+    oneof
+      [
+        int_range (-5) 100;
+        oneofl [ Int32.to_int Int32.max_int; Int32.to_int Int32.min_int ];
+      ])
+
+let gen_message =
+  QCheck.Gen.(
+    let small_list g = list_size (int_range 0 4) g in
+    let vec = map Vec.of_list (small_list gen_coord) in
+    let pairs = small_list (pair gen_int32 vec) in
+    let tag =
+      oneof
+        [
+          return Message.Init_value;
+          return Message.Init_report;
+          map (fun i -> Message.Obc_value i) gen_int32;
+          map (fun i -> Message.Halt i) gen_int32;
+          map (fun i -> Message.Async_value i) gen_int32;
+          map (fun i -> Message.Async_report i) gen_int32;
+        ]
+    in
+    let payload =
+      oneof
+        [
+          map (fun v -> Message.Pvec v) vec;
+          map (fun ps -> Message.Ppairs ps) pairs;
+          map (fun i -> Message.Pint i) int;
+          map (fun ps -> Message.Pparties ps) (small_list gen_int32);
+        ]
+    in
+    let entry =
+      let* tag = tag in
+      let* origin = gen_int32 in
+      let* step = oneofl [ Message.Init; Message.Echo; Message.Ready ] in
+      let* p = payload in
+      return ({ Message.tag; origin }, step, p)
+    in
+    oneof
+      [
+        map (fun (id, step, p) -> Message.Rbc (id, step, p)) entry;
+        map (fun es -> Message.Rbc_batch es) (small_list entry);
+        map2 (fun iter pairs -> Message.Obc_report { iter; pairs }) gen_int32 pairs;
+        map (fun parties -> Message.Witness_set { parties }) (small_list gen_int32);
+        map2 (fun round value -> Message.Sync_round { round; value }) gen_int32 vec;
+        map2 (fun iter value -> Message.Ew_value { iter; value }) gen_int32 vec;
+        map2 (fun iter pairs -> Message.Ew_echo { iter; pairs }) gen_int32 pairs;
+        map2 (fun iter pairs -> Message.Ew_report { iter; pairs }) gen_int32 pairs;
+        map (fun n -> Message.Junk n) gen_int32;
+      ])
+
+let arb_message =
+  QCheck.make ~print:(fun m -> Format.asprintf "%a" Message.pp m) gen_message
+
+(* Structural equality alone would miss float bits ([compare] identifies
+   0. and -0.), re-encoding alone would miss a decoder that builds the
+   wrong constructor with the same bytes: check both. *)
+let prop_message_roundtrip =
+  QCheck.Test.make ~name:"message encode/decode roundtrip, exact bits"
+    ~count:500 arb_message (fun m ->
+      let b = Codec.encode m in
+      let m' = Codec.decode b in
+      compare m m' = 0 && Bytes.equal b (Codec.encode m'))
+
+let malformed f =
+  match f () with exception Codec.Malformed _ -> true | _ -> false
+
+let prop_message_truncated =
+  QCheck.Test.make ~name:"truncated or padded message is Malformed"
+    ~count:200 arb_message (fun m ->
+      let b = Codec.encode m in
+      let len = Bytes.length b in
+      List.for_all
+        (fun k -> malformed (fun () -> Codec.decode (Bytes.sub b 0 k)))
+        (List.init len Fun.id)
+      && malformed (fun () -> Codec.decode (Bytes.cat b (Bytes.make 1 '\000'))))
+
 let test_torn_tails () =
   let b = Wire.encode ~key:key_a (frame "torn-tail payload") in
   for len = 0 to Bytes.length b - 1 do
@@ -422,6 +518,11 @@ let () =
           Alcotest.test_case "MAC mismatch" `Quick test_bad_mac;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "byte-at-a-time stream" `Quick test_chunked_stream;
+        ] );
+      ( "message codec",
+        [
+          QCheck_alcotest.to_alcotest prop_message_roundtrip;
+          QCheck_alcotest.to_alcotest prop_message_truncated;
         ] );
       ( "perfect link",
         [

@@ -2,7 +2,7 @@
    Definition 4.1 / Theorem 4.2. *)
 
 let tag = Message.Init_value
-let id origin = { Message.tag; origin; instance = 0 }
+let id origin = { Message.tag; origin }
 let pvec x = Message.Pvec (Vec.of_list [ x ])
 
 type fixture = {
@@ -163,7 +163,7 @@ let test_multiple_instances () =
   Rbc.broadcast (Option.get f.rbcs.(1)) (id 1) (pvec 2.);
   Rbc.broadcast
     (Option.get f.rbcs.(0))
-    { Message.tag = Message.Halt 3; origin = 0; instance = 0 }
+    { Message.tag = Message.Halt 3; origin = 0 }
     (Message.Pint 3);
   Engine.run f.engine;
   (* 4 parties x 3 instances *)

@@ -403,6 +403,44 @@ let test_converged_signed_zero () =
   Alcotest.(check bool) "D=1 mix answered +0." true
     (opt_bits_equal (Safe_area.new_value_arr ~t:1 vs) (Some (v [ 0. ])))
 
+(* The canonical sort must order 0. and -0. by sign: [Float.compare]
+   calls them equal, so without a tie-break on the bits a multiset mixing
+   them reaches the kernels in an order that depends on arrival order,
+   and the result's zero signs follow it. *)
+let prop_signed_zero_permutation =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun d ->
+      int_range (d + 2) 8 >>= fun m ->
+      int_range 0 2 >>= fun t ->
+      list_repeat m
+        (list_repeat d (oneofl [ 0.; -0.; 0.; -0.; 1.; -1.; 2.5 ]))
+      >>= fun pts ->
+      (* force the mix into the first coordinate *)
+      let pts =
+        List.mapi
+          (fun i p ->
+            match p with
+            | _ :: rest when i < 2 -> (if i = 0 then 0. else -0.) :: rest
+            | p -> p)
+          pts
+      in
+      let pts = List.map Vec.of_list pts in
+      shuffle_l pts >|= fun perm -> (t, pts, perm))
+  in
+  QCheck.Test.make ~name:"±0 mix: result bits independent of order"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (t, pts, perm) ->
+         Printf.sprintf "t=%d %s | %s" t (print_pts pts) (print_pts perm))
+       gen)
+    (fun (t, pts, perm) ->
+      let a = Array.of_list pts and b = Array.of_list perm in
+      opt_bits_equal (Safe_area.new_value_arr ~t a) (Safe_area.new_value_arr ~t b)
+      && opt_bits_equal
+           (Safe_area.centroid_value_arr ~t a)
+           (Safe_area.centroid_value_arr ~t b))
+
 let test_converged_contracts () =
   let p = v [ 1.; 2.; 3. ] in
   let raises name msg f =
@@ -481,5 +519,6 @@ let () =
             prop_safe_1d_matches_bruteforce;
             prop_new_value_arr_matches;
             prop_implicit_diameter_matches_reference;
+            prop_signed_zero_permutation;
           ] );
     ]
