@@ -116,7 +116,7 @@ let violated (result : Runner.result) =
      history — order across parties does not enter, which is exactly the
      commutativity the DPOR reduction exploits;
    - the pending-event multiset (the popped candidates plus the rest of
-     the heap) as (delta-tick, target, event digest), sorted — sequence
+     the queue) as (delta-tick, target, event digest), sorted — sequence
      numbers, which depend on the order commuting handlers ran in, are
      deliberately excluded;
    - handler liveness per party (crashes are state). *)

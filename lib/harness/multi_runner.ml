@@ -13,7 +13,7 @@
    sequence number) and instances never exchange messages, so instance
    j's events pop in the same relative order as in its dedicated engine
    (its pushes happen in the same relative order, by induction over
-   handler executions, and the heap is stable across instances). Delays
+   handler executions, and the queue is stable across instances). Delays
    and delivery times are not taken from the shared engine's policy at
    all: each instance carries its own [Rng] seeded from its scenario and
    its own delay policy, the mux draws them in exactly the per-dst order

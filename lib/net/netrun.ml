@@ -8,8 +8,8 @@
    stats at send time — it only hands the message to us instead of
    pushing the delivery event. The message rides to the destination
    carrying its [(engine_seq, deliver_at)] and is re-inserted through
-   [Engine.inject] under the exact heap key a direct send would have
-   used. The engine calls [wire_pump] at its two seams (queue drained,
+   [Engine.inject] at the exact (tick, seq) place a direct send would
+   have taken. The engine calls [wire_pump] at its two seams (queue drained,
    time about to advance), and the pump does not return until every
    in-flight logical message has been re-injected — so the pop order,
    and therefore the entire run, is byte-identical to the sim backend.
@@ -487,7 +487,7 @@ let wire_send t ~src ~dst ~seq ~deliver_at msg =
   t.logical_sent <- t.logical_sent + 1;
   if src = dst then begin
     (* self-delivery never leaves the process: inject directly, same
-       heap key, no socket round-trip *)
+       queue place, no socket round-trip *)
     Engine.inject t.engine ~src ~dst ~seq ~deliver_at msg;
     t.logical_delivered <- t.logical_delivered + 1
   end

@@ -6,23 +6,23 @@ type t =
 
 (* [Float.compare] with ties broken on the bits, so that 0. and -0. (and
    NaN payloads) have one canonical order: -0. sorts before 0. *)
-let compare_bits x y =
+let[@inline] compare_bits x y =
   let c = Float.compare x y in
   if c <> 0 then c
   else Int64.compare (Int64.bits_of_float x) (Int64.bits_of_float y)
 
+(* A loop, not a local recursive closure, and [compare_bits] inlined: a
+   comparison allocates nothing, which matters since [Safe_cache] runs
+   one per key probe and per sort step. *)
 let compare_vec_bits (u : Vec.t) (v : Vec.t) =
   let u = (u :> float array) and v = (v :> float array) in
-  let c = Int.compare (Array.length u) (Array.length v) in
-  if c <> 0 then c
-  else
-    let rec go i =
-      if i = Array.length u then 0
-      else
-        let c = compare_bits u.(i) v.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  let n = Array.length u in
+  let c = ref (Int.compare n (Array.length v)) and i = ref 0 in
+  while !c = 0 && !i < n do
+    c := compare_bits u.(!i) v.(!i);
+    incr i
+  done;
+  !c
 
 let compute_1d ~t vs =
   let arr = Array.map (fun v -> Vec.get v 0) vs in

@@ -33,6 +33,11 @@ val compute_arr : t:int -> Vec.t array -> t option
 (** Array-native variant of {!compute} (the protocol hot path); the input
     array is not mutated. Bit-identical to [compute ~t (Array.to_list vs)]. *)
 
+val compare_vec_bits : Vec.t -> Vec.t -> int
+(** The canonical multiset order: {!Vec.compare} with ties broken on the
+    float bits, so [-0.] sorts before [0.]. [compare_vec_bits u v = 0]
+    iff [u] and [v] are bitwise identical. *)
+
 val contains : ?eps:float -> t -> Vec.t -> bool
 
 val diameter_pair : t -> Vec.t * Vec.t

@@ -14,7 +14,7 @@ type kernel = [ `Safe_area | `Centroid ]
 type key = {
   trim : int;
   kernel : int;  (* 0 = midpoint rule, 1 = centroid rule *)
-  vs : Vec.t array; (* sorted by Vec.compare *)
+  vs : Vec.t array; (* sorted by Safe_area.compare_vec_bits *)
 }
 
 module H = Hashtbl.Make (struct
@@ -25,7 +25,9 @@ module H = Hashtbl.Make (struct
     && Array.length a.vs = Array.length b.vs
     &&
     let n = Array.length a.vs in
-    let rec go i = i = n || (Vec.equal_exact a.vs.(i) b.vs.(i) && go (i + 1)) in
+    let rec go i =
+      i = n || (Safe_area.compare_vec_bits a.vs.(i) b.vs.(i) = 0 && go (i + 1))
+    in
     go 0
 
   let hash k =
@@ -48,9 +50,11 @@ let size t = H.length t.tbl
 let new_value_arr ?(kernel = `Safe_area) cache ~t vs =
   (* Canonicalise the order here so permutations of one multiset share an
      entry; [Safe_area.new_value_arr] re-sorts its own copy, which is
-     idempotent and cheap next to the kernel. *)
+     idempotent and cheap next to the kernel. Keys compare on the bits:
+     multisets differing only in the signs of their zeros may have
+     results differing in theirs, so they must not share an entry. *)
   let vs = Array.copy vs in
-  Array.sort Vec.compare vs;
+  Array.sort Safe_area.compare_vec_bits vs;
   let kid = match kernel with `Safe_area -> 0 | `Centroid -> 1 in
   let key = { trim = t; kernel = kid; vs } in
   match H.find_opt cache.tbl key with

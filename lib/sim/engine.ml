@@ -44,7 +44,7 @@ type 'msg t = {
   policy : delay_policy;
   rng : Rng.t;
   size_of : 'msg -> int;
-  queue : 'msg event Heap.Keyed.t;  (* aux rider = delivery target *)
+  queue : 'msg event Tick_queue.t;  (* target rider = receiving party *)
   handlers : ('msg event -> unit) option array;
   flushers : (final:bool -> unit) option array;
   mutable wire : 'msg wire option;
@@ -66,15 +66,6 @@ type 'msg t = {
   mutable events_processed : int;
 }
 
-(* The queue orders events by (delivery time, push sequence), packed into
-   one int key so the heap sifts on immediate integer comparisons — this
-   runs O(log queue) times per event and used to be a polymorphic-compare
-   C call each time. [seq_bits] caps one run at 2^31 pushes and 2^31
-   ticks, both far beyond [max_events]; ties are impossible because [seq]
-   is distinct per push, so the pop order is exactly the old (at, seq)
-   lexicographic order. *)
-let seq_bits = 31
-
 let create ?(seed = 0x5eedL) ?(size_of = fun _ -> 0) ?(classes = 0) ?classify
     ~n ~policy () =
   if n <= 0 then invalid_arg "Engine.create: n must be positive";
@@ -84,7 +75,7 @@ let create ?(seed = 0x5eedL) ?(size_of = fun _ -> 0) ?(classes = 0) ?classify
     policy;
     rng = Rng.create seed;
     size_of;
-    queue = Heap.Keyed.create ();
+    queue = Tick_queue.create ();
     handlers = Array.make n None;
     flushers = Array.make n None;
     wire = None;
@@ -138,34 +129,29 @@ let has_handler t i = i >= 0 && i < t.n && t.handlers.(i) <> None
 
 let pending t =
   let acc = ref [] in
-  Heap.Keyed.iter t.queue (fun ~key ~aux ev ->
+  Tick_queue.iter t.queue (fun ~tick ~seq ~target ev ->
       acc :=
-        {
-          ch_at = key lsr seq_bits;
-          ch_seq = key land ((1 lsl seq_bits) - 1);
-          ch_target = aux;
-          ch_event = ev;
-        }
+        { ch_at = tick; ch_seq = seq; ch_target = target; ch_event = ev }
         :: !acc);
-  List.sort (fun a b -> compare (a.ch_at, a.ch_seq) (b.ch_at, b.ch_seq)) !acc
+  List.rev !acc
 
+(* Events pop in (delivery tick, push sequence) order. [seq] rises with
+   every push, so a direct push appends to its tick's bucket. *)
 let push t ~at ~target ev =
-  let at = max at t.now in
   t.seq <- t.seq + 1;
-  Heap.Keyed.push t.queue ~key:((at lsl seq_bits) lor t.seq) ~aux:target ev
+  Tick_queue.push t.queue ~tick:(max at t.now) ~seq:t.seq ~target ev
 
 let set_wire t w = t.wire <- Some w
 let clear_wire t = t.wire <- None
 
 (* Re-insertion point for a wire backend: the message was sent earlier
    (its sequence number was allocated then, its stats were counted then)
-   and has now physically arrived, so it enters the heap under exactly
-   the key a direct [push] would have used at send time. The pop order
-   of a wire run is therefore identical to the simulator's. *)
+   and has now physically arrived, so it enters the queue at exactly the
+   (tick, seq) place a direct [push] would have taken at send time. The
+   pop order of a wire run is therefore identical to the simulator's. *)
 let inject t ~src ~dst ~seq ~deliver_at msg =
   if dst < 0 || dst >= t.n then invalid_arg "Engine.inject: bad destination";
-  let at = max deliver_at t.now in
-  Heap.Keyed.push t.queue ~key:((at lsl seq_bits) lor seq) ~aux:dst
+  Tick_queue.push t.queue ~tick:(max deliver_at t.now) ~seq ~target:dst
     (Deliver { src; msg })
 
 let send t ~src ~dst msg =
@@ -187,7 +173,7 @@ let send t ~src ~dst msg =
   | None -> push t ~at:deliver_at ~target:dst (Deliver { src; msg })
   | Some w ->
       (* the sequence number is allocated here, in global send order, and
-         travels with the message so [inject] can reproduce the heap key *)
+         travels with the message so [inject] can reproduce the queue order *)
       t.seq <- t.seq + 1;
       w.wire_send ~src ~dst ~seq:t.seq ~deliver_at msg
 
@@ -233,7 +219,7 @@ let endpoint t ~me : 'msg Transport.endpoint =
     set_handler = (fun h -> set_party t me h);
   }
 
-let quiescent t = Heap.Keyed.is_empty t.queue
+let quiescent t = Tick_queue.is_empty t.queue
 
 (* End-of-tick flush: registered flushers run (in party-index order, for
    determinism) at most once per tick value, exactly when the loop is
@@ -288,7 +274,7 @@ let run ?until ?(max_events = 10_000_000) ?(on_budget = `Raise) ?should_stop t
   t.stop_reason <- `Quiescent;
   let continue = ref true in
   while !continue do
-    if Heap.Keyed.is_empty t.queue then begin
+    if Tick_queue.is_empty t.queue then begin
       if not (flush_tick t || pump t || final_flush t) then begin
         t.stop_reason <- `Quiescent;
         continue := false
@@ -303,7 +289,7 @@ let run ?until ?(max_events = 10_000_000) ?(on_budget = `Raise) ?should_stop t
       continue := false
     end
     else
-      let at = Heap.Keyed.min_key_exn t.queue lsr seq_bits in
+      let at = Tick_queue.min_tick t.queue in
       if at > t.now && (flush_tick t || pump t) then ()
         (* flushed the current tick / drained the wire: re-peek, the
            minimum may have moved *)
@@ -323,32 +309,27 @@ let run ?until ?(max_events = 10_000_000) ?(on_budget = `Raise) ?should_stop t
         let target, ev =
           match t.chooser with
           | None ->
-              let target = Heap.Keyed.min_aux_exn t.queue in
-              let ev = Heap.Keyed.pop_exn t.queue in
+              let target = Tick_queue.min_target t.queue in
+              let ev = Tick_queue.pop_exn t.queue in
               (target, ev)
           | Some choose ->
               (* Choice point: gather every entry of the minimal tick (they
                  pop in seq order, so the candidate array is sorted), let
                  the strategy pick one, and re-insert the rest under their
-                 original keys — keys are unique, so the remainder pops in
+                 original seqs — seqs are unique, so the remainder pops in
                  exactly the order it would have without the detour, and a
                  strategy that always answers [0] reproduces the default
                  pop order byte-for-byte. *)
               let rec gather acc =
                 if
-                  (not (Heap.Keyed.is_empty t.queue))
-                  && Heap.Keyed.min_key_exn t.queue lsr seq_bits = at
+                  (not (Tick_queue.is_empty t.queue))
+                  && Tick_queue.min_tick t.queue = at
                 then
-                  let key = Heap.Keyed.min_key_exn t.queue in
-                  let aux = Heap.Keyed.min_aux_exn t.queue in
-                  let ev = Heap.Keyed.pop_exn t.queue in
+                  let seq = Tick_queue.min_seq t.queue in
+                  let target = Tick_queue.min_target t.queue in
+                  let ev = Tick_queue.pop_exn t.queue in
                   gather
-                    ({
-                       ch_at = at;
-                       ch_seq = key land ((1 lsl seq_bits) - 1);
-                       ch_target = aux;
-                       ch_event = ev;
-                     }
+                    ({ ch_at = at; ch_seq = seq; ch_target = target; ch_event = ev }
                     :: acc)
                 else List.rev acc
               in
@@ -360,9 +341,8 @@ let run ?until ?(max_events = 10_000_000) ?(on_budget = `Raise) ?should_stop t
               Array.iteri
                 (fun i c ->
                   if i <> idx then
-                    Heap.Keyed.push t.queue
-                      ~key:((c.ch_at lsl seq_bits) lor c.ch_seq)
-                      ~aux:c.ch_target c.ch_event)
+                    Tick_queue.push t.queue ~tick:c.ch_at ~seq:c.ch_seq
+                      ~target:c.ch_target c.ch_event)
                 cands;
               (cands.(idx).ch_target, cands.(idx).ch_event)
         in

@@ -3,8 +3,13 @@
     [n] parties exchange messages of an arbitrary type ['msg]. Time is an
     integer tick count; the synchrony bound Δ and every delay policy are
     expressed in ticks. A run is fully determined by the seed, the delay
-    policy, and the party handlers: the event queue breaks time ties by a
-    global sequence number.
+    policy, and the party handlers: events fire in (tick, sequence) order,
+    where the sequence number rises with every push, so events of one tick
+    fire in push order.
+
+    The queue ({!Tick_queue}) keeps one slot per pending tick in a ring of
+    at most 2{^17} slots; a push and a pop are O(1) and allocate nothing
+    once the queue has grown.
 
     The adversary's scheduling power is exactly the {!delay_policy}: it
     sees the sender, the destination and the current time and picks the
@@ -121,7 +126,7 @@ val send_at : 'msg t -> src:int -> dst:int -> deliver_at:int -> 'msg -> unit
     of the engine's policy (clamped to [now + 1] — nothing arrives within
     its own tick). The multi-instance runner uses this to apply {e per
     instance} delay policies and RNG streams while sharing one global
-    event heap: sequence numbers are still allocated in global push
+    event queue: sequence numbers are still allocated in global push
     order, so per-instance delivery order matches what a dedicated
     engine would produce. Statistics, classification and tracing are
     identical to {!send}. *)
@@ -210,8 +215,8 @@ val clear_wire : 'msg t -> unit
 val inject :
   'msg t -> src:int -> dst:int -> seq:int -> deliver_at:time -> 'msg -> unit
 (** Wire-side re-insertion of a message previously handed to [wire_send]:
-    enters the event queue under the exact key a direct send would have
-    used (the carried [seq] breaks time ties). Stats were already counted
+    enters the event queue at the exact (tick, seq) place a direct send
+    would have taken (the carried [seq] breaks time ties). Stats were already counted
     at send time — inject counts nothing. *)
 
 val set_tracer : 'msg t -> ('msg trace_event -> unit) -> unit
@@ -225,11 +230,11 @@ val clear_tracer : 'msg t -> unit
 
     All nondeterminism the engine resolves by itself lives in one place:
     when several events are pending at the minimal tick, the (time, seq)
-    key order decides which fires first. A {e chooser} intercepts exactly
+    order decides which fires first. A {e chooser} intercepts exactly
     that decision. With a chooser set, the run loop gathers every entry of
     the minimal tick into a candidate array (in seq, i.e. default-pop,
     order), asks the chooser for an index, processes that event and
-    re-inserts the rest under their original keys. A chooser that always
+    re-inserts the rest under their original seqs. A chooser that always
     answers [0] therefore reproduces the default schedule byte-for-byte —
     the invariant the differential tests pin — while [lib/explore]
     enumerates the other answers to model-check small configurations.
@@ -254,8 +259,9 @@ val clear_chooser : 'msg t -> unit
 
 val pending : 'msg t -> 'msg choice list
 (** Snapshot of the whole event queue, sorted by [(ch_at, ch_seq)]; does
-    not disturb the heap. The explorer folds this into its canonical
-    state fingerprint. O(queue · log queue) — not for hot paths. *)
+    not disturb the queue. The explorer folds this into its canonical
+    state fingerprint. O(queue + pending tick span) — not for hot
+    paths. *)
 
 val has_handler : 'msg t -> int -> bool
 (** Whether party [i] currently has a handler installed ([false] for

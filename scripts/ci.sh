@@ -36,6 +36,10 @@ dune exec bin/soak_main.exe -- --cases 500 --seed 7 --domains 2 \
   --out _build/SOAK.json
 cmp _build/SOAK.json SOAK.json
 
+echo "== par-check (1- and 2-domain experiment reports byte-identical) =="
+# a sweep's report must not depend on how many worker domains ran it
+make par-check
+
 echo "== soak smoke: batched message layer =="
 # identical case grid, combined-packet egress: must grade just as clean
 dune exec bin/soak_main.exe -- --smoke --domains 2 --message-layer batched \

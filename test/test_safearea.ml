@@ -441,6 +441,59 @@ let prop_signed_zero_permutation =
            (Safe_area.centroid_value_arr ~t a)
            (Safe_area.centroid_value_arr ~t b))
 
+(* [Safe_cache] keys compare on the bits. With [Vec.equal_exact] keys a
+   multiset of [-0.] copies and one of [0.] copies shared an entry, and
+   the second lookup returned the first one's zero signs. *)
+let test_cache_signed_zero_keys () =
+  let cache = Safe_cache.create () in
+  let neg = Array.make 4 (v [ -0.; 1. ]) and pos = Array.make 4 (v [ 0.; 1. ]) in
+  ignore (Safe_cache.new_value_arr cache ~t:1 neg);
+  Alcotest.(check bool) "+0. copies answered +0." true
+    (opt_bits_equal
+       (Safe_cache.new_value_arr cache ~t:1 pos)
+       (Safe_area.new_value_arr ~t:1 pos));
+  Alcotest.(check int) "two entries" 2 (Safe_cache.size cache);
+  (* permutations of one multiset still share an entry *)
+  let mix = [| v [ 0.; 1. ]; v [ -0.; 1. ]; v [ 1.; 0. ]; v [ -0.; 1. ] |] in
+  let rev = Array.of_list (List.rev (Array.to_list mix)) in
+  ignore (Safe_cache.new_value_arr cache ~t:1 mix);
+  let hits = Safe_cache.hits cache in
+  ignore (Safe_cache.new_value_arr cache ~t:1 rev);
+  Alcotest.(check int) "permutation hits" (hits + 1) (Safe_cache.hits cache)
+
+let prop_cache_signed_zero =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 3 >>= fun d ->
+      int_range (d + 2) 6 >>= fun m ->
+      int_range 0 1 >>= fun t ->
+      list_size (int_range 1 6)
+        (list_repeat m (list_repeat d (oneofl [ 0.; -0.; 0.; -0.; 1. ])))
+      >>= fun queries ->
+      let queries = List.map (List.map Vec.of_list) queries in
+      shuffle_l queries >|= fun order -> (t, queries, order))
+  in
+  QCheck.Test.make ~name:"±0 mix: cache on = cache off, any order" ~count:300
+    (QCheck.make
+       ~print:(fun (t, qs, _) ->
+         Printf.sprintf "t=%d %s" t (String.concat " | " (List.map print_pts qs)))
+       gen)
+    (fun (t, queries, order) ->
+      let cache = Safe_cache.create () in
+      List.for_all
+        (fun kernel ->
+          List.for_all
+            (fun pts ->
+              let a = Array.of_list pts in
+              let direct =
+                match kernel with
+                | `Safe_area -> Safe_area.new_value_arr ~t a
+                | `Centroid -> Safe_area.centroid_value_arr ~t a
+              in
+              opt_bits_equal (Safe_cache.new_value_arr ~kernel cache ~t a) direct)
+            (queries @ order))
+        [ `Safe_area; `Centroid ])
+
 let test_converged_contracts () =
   let p = v [ 1.; 2.; 3. ] in
   let raises name msg f =
@@ -506,6 +559,8 @@ let () =
           Alcotest.test_case "signed zeros take the kernel" `Quick
             test_converged_signed_zero;
           Alcotest.test_case "contracts kept" `Quick test_converged_contracts;
+          Alcotest.test_case "cache keys on zero signs" `Quick
+            test_cache_signed_zero_keys;
         ] );
       ( "properties",
         q
@@ -520,5 +575,6 @@ let () =
             prop_new_value_arr_matches;
             prop_implicit_diameter_matches_reference;
             prop_signed_zero_permutation;
+            prop_cache_signed_zero;
           ] );
     ]

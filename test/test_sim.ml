@@ -1,4 +1,5 @@
-(* Tests for the simulation substrate: RNG, heap, engine, delay policies. *)
+(* Tests for the simulation substrate: RNG, event queue, engine, delay
+   policies. *)
 
 (* --- Rng --- *)
 
@@ -42,49 +43,198 @@ let test_rng_shuffle () =
   Array.sort compare sorted;
   Alcotest.(check (array int)) "permutation" (Array.init 20 Fun.id) sorted
 
-(* --- Heap --- *)
+(* --- Event queue ---
+
+   The "heap" test names predate the tick-bucket queue; they now pin the
+   queue that replaced the heap. The oracle for every property is a sort
+   by (tick, seq), ties kept in push order. *)
+
+let drain q =
+  let rec go acc =
+    if Tick_queue.is_empty q then List.rev acc
+    else go (Tick_queue.pop_exn q :: acc)
+  in
+  go []
 
 let test_heap_sorts () =
-  let h = Heap.create ~cmp:compare in
+  let q = Tick_queue.create () in
   let input = [ 5; 3; 8; 1; 9; 2; 7; 1; 4 ] in
-  List.iter (Heap.push h) input;
-  Alcotest.(check int) "size" (List.length input) (Heap.size h);
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" (List.sort compare input) (drain [])
+  List.iteri
+    (fun i tick -> Tick_queue.push q ~tick ~seq:i ~target:0 (tick, i))
+    input;
+  Alcotest.(check int) "size" (List.length input) (Tick_queue.size q);
+  Alcotest.(check (list (pair int int)))
+    "sorted by (tick, seq)"
+    (List.sort compare (List.mapi (fun i tick -> (tick, i)) input))
+    (drain q)
 
 let test_heap_empty () =
-  let h = Heap.create ~cmp:compare in
-  Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Alcotest.(check (option int)) "pop empty" None (Heap.pop h);
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek" (Some 1) (Heap.peek h);
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
+  let q = Tick_queue.create () in
+  Alcotest.(check bool) "empty" true (Tick_queue.is_empty q);
+  Alcotest.check_raises "min_tick empty"
+    (Invalid_argument "Tick_queue.min_tick: empty queue") (fun () ->
+      ignore (Tick_queue.min_tick q));
+  Tick_queue.push q ~tick:3 ~seq:1 ~target:7 "x";
+  Alcotest.(check int) "min tick" 3 (Tick_queue.min_tick q);
+  Alcotest.(check int) "min seq" 1 (Tick_queue.min_seq q);
+  Alcotest.(check int) "min target" 7 (Tick_queue.min_target q);
+  ignore (Tick_queue.pop_exn q);
+  Alcotest.(check bool) "drained" true (Tick_queue.is_empty q)
 
 let test_heap_pop_exn () =
-  let h = Heap.create ~cmp:compare in
+  let q = Tick_queue.create () in
   Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty heap") (fun () ->
-      ignore (Heap.pop_exn h));
-  List.iter (Heap.push h) [ 4; 2; 9 ];
-  Alcotest.(check int) "min first" 2 (Heap.pop_exn h);
-  Alcotest.(check int) "then" 4 (Heap.pop_exn h);
-  Alcotest.(check int) "then" 9 (Heap.pop_exn h);
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
+    (Invalid_argument "Tick_queue.pop_exn: empty queue") (fun () ->
+      ignore (Tick_queue.pop_exn q));
+  List.iteri (fun i x -> Tick_queue.push q ~tick:x ~seq:i ~target:0 x) [ 4; 2; 9 ];
+  Alcotest.(check int) "min first" 2 (Tick_queue.pop_exn q);
+  Alcotest.(check int) "then" 4 (Tick_queue.pop_exn q);
+  Alcotest.check_raises "push below the cursor"
+    (Invalid_argument "Tick_queue.push: tick below the cursor") (fun () ->
+      Tick_queue.push q ~tick:3 ~seq:9 ~target:0 3);
+  Alcotest.(check int) "then" 9 (Tick_queue.pop_exn q);
+  Alcotest.(check bool) "drained" true (Tick_queue.is_empty q)
+
+let test_queue_wide_span () =
+  (* a pending span past 100 000 ticks grows the ring, and one past the
+     ring's largest size (2^17 slots) wraps it: ticks 2^17 apart then
+     share a slot, still popping in (tick, seq) order *)
+  let q = Tick_queue.create () in
+  let wrap = 1 lsl 17 in
+  let entries =
+    [ (100_050, 0); (0, 1); (64, 2); (5 + wrap, 3); (100_000, 4); (5, 5);
+      (5 + (2 * wrap), 6); (5 + wrap, 7); (63, 8); (250_000, 9); (1, 10);
+      (5 + wrap, 0) (* an older seq, as from a wire re-injection *) ]
+  in
+  List.iter
+    (fun (tick, seq) -> Tick_queue.push q ~tick ~seq ~target:0 (tick, seq))
+    entries;
+  let sorted = List.sort compare entries in
+  let seen = ref [] in
+  Tick_queue.iter q (fun ~tick ~seq ~target:_ e ->
+      Alcotest.(check (pair int int)) "iter labels" (tick, seq) e;
+      seen := e :: !seen);
+  Alcotest.(check (list (pair int int))) "iter order" sorted (List.rev !seen);
+  Alcotest.(check (pair int int)) "min" (0, 1) (Tick_queue.pop_exn q);
+  (* the cursor is now 0: a push far ahead of it lands in a wrapped slot *)
+  Tick_queue.push q ~tick:(1 + (3 * wrap)) ~seq:99 ~target:0 (1 + (3 * wrap), 99);
+  Alcotest.(check (list (pair int int))) "pops in (tick, seq) order"
+    (List.tl sorted @ [ (1 + (3 * wrap), 99) ])
+    (drain q)
+
+let test_queue_no_alloc () =
+  (* once the pool and ring have grown, a push and a pop allocate nothing *)
+  let q = Tick_queue.create () in
+  for i = 0 to 999 do
+    Tick_queue.push q ~tick:(i mod 50) ~seq:i ~target:0 i
+  done;
+  let before = Gc.minor_words () in
+  for i = 1000 to 100_999 do
+    let tick = Tick_queue.min_tick q in
+    ignore (Tick_queue.min_target q + Tick_queue.pop_exn q);
+    Tick_queue.push q ~tick:(tick + 1 + (i mod 50)) ~seq:i ~target:0 i
+  done;
+  Alcotest.(check (float 0.)) "minor words" 0. (Gc.minor_words () -. before)
 
 let prop_heap =
   QCheck.Test.make ~name:"heap drains sorted" ~count:200
-    QCheck.(list int)
+    QCheck.(list (pair (int_bound 300) (int_bound 50)))
     (fun l ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) l;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+      (* any tick order, seqs out of order and repeated *)
+      let q = Tick_queue.create () in
+      List.iteri
+        (fun i (tick, seq) -> Tick_queue.push q ~tick ~seq ~target:i (tick, seq, i))
+        l;
+      let oracle =
+        List.stable_sort
+          (fun (t1, s1, _) (t2, s2, _) -> compare (t1, s1) (t2, s2))
+          (List.mapi (fun i (tick, seq) -> (tick, seq, i)) l)
       in
-      drain [] = List.sort compare l)
+      drain q = oracle)
+
+type queue_op =
+  | Push of int * int  (* ticks past the cursor, seq age (0 = fresh) *)
+  | Pop
+  | Peek
+
+let gen_queue_op =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 5,
+          map2
+            (fun d age -> Push (d, age))
+            (frequency
+               [
+                 (12, int_bound 3);
+                 (6, int_bound 100);
+                 (1, int_bound 120_000);
+                 (1, int_bound 400_000);
+                 (* a multiple of the ring's largest size away: shares a
+                    slot with a nearer tick *)
+                 (2, map2 (fun k d -> (k lsl 17) + d) (int_range 1 3) (int_bound 3));
+               ])
+            (frequency [ (3, return 0); (1, int_bound 20) ]) );
+        (3, return Pop);
+        (1, return Peek);
+      ])
+
+let show_queue_op = function
+  | Push (d, age) -> Printf.sprintf "Push(%d,%d)" d age
+  | Pop -> "Pop"
+  | Peek -> "Peek"
+
+(* Interleaved pushes, peeks and pops against a sorted-list model. A push
+   lands at or after the cursor (the last popped tick), including at
+   cursor + 1 after a peek saw a later minimum — the end-of-tick flush
+   case — and up to 400 000 ticks out, which wraps the ring. Aged seqs
+   stand for wire re-injections and chooser re-pushes. *)
+let prop_queue_interleaved =
+  QCheck.Test.make ~name:"interleaved ops match the oracle"
+    ~count:150
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat " " (List.map show_queue_op ops))
+        Gen.(list_size (int_bound 300) gen_queue_op))
+    (fun ops ->
+      let q = Tick_queue.create () in
+      let model = ref [] (* (tick, seq, id), sorted *) in
+      let cursor = ref 0 and pushes = ref 0 in
+      let key (t, s, i) = (t, s, i) in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      List.iter
+        (function
+          | Push (d, age) ->
+              let tick = !cursor + d and seq = max 0 (!pushes - age) in
+              let e = (tick, seq, !pushes) in
+              incr pushes;
+              Tick_queue.push q ~tick ~seq ~target:(!pushes - 1) e;
+              model := List.merge (fun a b -> compare (key a) (key b)) [ e ] !model
+          | Peek -> (
+              match !model with
+              | [] -> check (Tick_queue.is_empty q)
+              | (t, s, i) :: _ ->
+                  check (Tick_queue.min_tick q = t);
+                  check (Tick_queue.min_seq q = s);
+                  check (Tick_queue.min_target q = i))
+          | Pop -> (
+              match !model with
+              | [] -> check (Tick_queue.is_empty q)
+              | ((t, _, _) as e) :: rest ->
+                  check (Tick_queue.pop_exn q = e);
+                  model := rest;
+                  cursor := t))
+        ops;
+      let seen = ref [] in
+      Tick_queue.iter q (fun ~tick ~seq ~target e ->
+          let t, s, i = e in
+          check (t = tick && s = seq && i = target);
+          seen := e :: !seen);
+      check (List.rev !seen = !model);
+      check (Tick_queue.size q = List.length !model);
+      check (drain q = !model);
+      !ok)
 
 (* --- Engine --- *)
 
@@ -333,6 +483,114 @@ let test_engine_wrap_party () =
     (Invalid_argument "Engine.wrap_party: bad party") (fun () ->
       Engine.wrap_party engine 7 (fun inner -> inner))
 
+let test_engine_flush_below_peek () =
+  (* the loop peeks tick 50, then the end-of-tick flush of tick 0 sends
+     at tick 1, below that peek: the flushed message must fire first *)
+  let engine = Engine.create ~n:1 ~policy:Network.instant () in
+  let log = ref [] in
+  Engine.set_party engine 0 (fun ev ->
+      match ev with
+      | Engine.Deliver { msg; _ } -> log := (msg, Engine.now engine) :: !log
+      | Engine.Timer tag -> log := (string_of_int tag, Engine.now engine) :: !log);
+  let flushed = ref false in
+  Engine.set_flusher engine 0 (fun ~final:_ ->
+      if not !flushed then begin
+        flushed := true;
+        Engine.send engine ~src:0 ~dst:0 "flushed"
+      end);
+  Engine.set_timer engine ~party:0 ~at:0 ~tag:0;
+  Engine.set_timer engine ~party:0 ~at:50 ~tag:50;
+  Engine.run engine;
+  Alcotest.(check (list (pair string int)))
+    "flushed send before the peeked tick"
+    [ ("0", 0); ("flushed", 1); ("50", 50) ]
+    (List.rev !log)
+
+let test_engine_until_then_timer () =
+  (* a [`Past_until] stop with a pending span past 100 000 ticks, then a
+     timer below the peeked minimum and a second run *)
+  let engine = Engine.create ~n:1 ~policy:Network.instant () in
+  let fired = ref [] in
+  Engine.set_party engine 0 (fun ev ->
+      match ev with
+      | Engine.Timer tag -> fired := (tag, Engine.now engine) :: !fired
+      | Engine.Deliver _ -> ());
+  Engine.set_timer engine ~party:0 ~at:5 ~tag:1;
+  Engine.set_timer engine ~party:0 ~at:100_050 ~tag:3;
+  Engine.run ~until:10 engine;
+  Alcotest.(check bool) "stopped past until" true
+    (Engine.stop_reason engine = `Past_until);
+  Engine.set_timer engine ~party:0 ~at:7 ~tag:2;
+  Engine.run engine;
+  Alcotest.(check (list (pair int int)))
+    "all timers in tick order"
+    [ (1, 5); (2, 7); (3, 100_050) ]
+    (List.rev !fired)
+
+let test_engine_inject_out_of_order () =
+  (* a wire that re-injects its messages newest first must not change the
+     order in which the engine delivers them *)
+  let run ~wire =
+    let engine = Engine.create ~n:2 ~policy:(Network.lockstep ~delta:3) () in
+    let got = ref [] in
+    Engine.set_party engine 1 (fun ev ->
+        match ev with
+        | Engine.Deliver { msg; _ } -> got := (msg, Engine.now engine) :: !got
+        | Engine.Timer _ -> ());
+    Engine.set_party engine 0 (fun _ -> ());
+    if wire then begin
+      let held = ref [] in
+      Engine.set_wire engine
+        {
+          Engine.wire_send =
+            (fun ~src ~dst ~seq ~deliver_at msg ->
+              held := (src, dst, seq, deliver_at, msg) :: !held);
+          wire_pump =
+            (fun () ->
+              let batch = !held in
+              held := [];
+              List.iter
+                (fun (src, dst, seq, deliver_at, msg) ->
+                  Engine.inject engine ~src ~dst ~seq ~deliver_at msg)
+                batch;
+              batch <> []);
+        }
+    end;
+    (* a timer at the delivery tick, pushed after the sends: it must
+       still fire after them *)
+    List.iter (fun m -> Engine.send engine ~src:0 ~dst:1 m) [ "a"; "b"; "c" ];
+    Engine.set_timer engine ~party:0 ~at:3 ~tag:0;
+    Engine.run engine;
+    List.rev !got
+  in
+  Alcotest.(check (list (pair string int)))
+    "wire order = direct order" (run ~wire:false) (run ~wire:true);
+  Alcotest.(check (list string)) "send order" [ "a"; "b"; "c" ]
+    (List.map fst (run ~wire:true))
+
+let test_engine_chooser_repush () =
+  (* a chooser that always takes the last candidate reverses one tick;
+     the re-pushed rest keeps its seq order, and [pending] reads the
+     queue in (tick, seq) order *)
+  let engine = Engine.create ~n:2 ~policy:Network.instant () in
+  let got = ref [] in
+  Engine.set_party engine 1 (fun ev ->
+      match ev with
+      | Engine.Deliver { msg; _ } -> got := msg :: !got
+      | Engine.Timer _ -> ());
+  List.iter (fun m -> Engine.send engine ~src:0 ~dst:1 m) [ "a"; "b"; "c" ];
+  Engine.set_timer engine ~party:1 ~at:9 ~tag:0;
+  let seqs = List.map (fun c -> (c.Engine.ch_at, c.Engine.ch_seq)) (Engine.pending engine) in
+  Alcotest.(check (list (pair int int))) "pending sorted" (List.sort compare seqs) seqs;
+  Engine.set_chooser engine (fun cands ->
+      let seqs = Array.map (fun c -> c.Engine.ch_seq) cands in
+      let sorted = Array.copy seqs in
+      Array.sort compare sorted;
+      Alcotest.(check (array int)) "candidates in seq order" sorted seqs;
+      Array.length cands - 1);
+  Engine.run engine;
+  Alcotest.(check (list string)) "reversed" [ "c"; "b"; "a" ] (List.rev !got)
+
 (* --- policies --- *)
 
 let check_policy_range name policy lo hi =
@@ -392,6 +650,9 @@ let () =
           Alcotest.test_case "sorts" `Quick test_heap_sorts;
           Alcotest.test_case "empty" `Quick test_heap_empty;
           Alcotest.test_case "pop_exn" `Quick test_heap_pop_exn;
+          Alcotest.test_case "span past 100k ticks" `Quick test_queue_wide_span;
+          Alcotest.test_case "steady state allocates nothing" `Quick
+            test_queue_no_alloc;
         ] );
       ( "engine",
         [
@@ -414,6 +675,13 @@ let () =
             test_engine_fail_fast_default;
           Alcotest.test_case "isolation" `Quick test_engine_isolation;
           Alcotest.test_case "wrap_party" `Quick test_engine_wrap_party;
+          Alcotest.test_case "flush below a peeked tick" `Quick
+            test_engine_flush_below_peek;
+          Alcotest.test_case "until, timer, run again" `Quick
+            test_engine_until_then_timer;
+          Alcotest.test_case "inject out of seq order" `Quick
+            test_engine_inject_out_of_order;
+          Alcotest.test_case "chooser re-push" `Quick test_engine_chooser_repush;
         ] );
       ( "policies",
         [
@@ -421,5 +689,5 @@ let () =
           Alcotest.test_case "rushing bias" `Quick test_policy_rushing_bias;
           Alcotest.test_case "starvation" `Quick test_policy_starve;
         ] );
-      ("heap properties", q [ prop_heap ]);
+      ("heap properties", q [ prop_heap; prop_queue_interleaved ]);
     ]
