@@ -7,9 +7,9 @@
    B5  implicit diameter search (D = 3): seed one-shot path vs the
        warm-started Lp.Problem workspace
    B6  full protocol runs (one ΠAA execution, end to end, per config;
-       n=12 also on the seed `Reference message layer)
-   B7  one reliable-broadcast instance, end to end, interned vs
-       reference message layer
+       n=12 also on the batched message layer)
+   B7  one reliable-broadcast instance, end to end, interned vs the
+       seed vote tables (Oracle.Rbc)
    B8  restrict_t(M) subset enumeration: seed recursive lists vs the
        index-array kernel
    B9  repeated LP objectives over one constraint system: one-shot solve
@@ -18,7 +18,8 @@
        vs Runner.run_batch on a 2- and 4-domain pool (runs/sec; results
        bit-identical by construction)
    B11 message layer in isolation: intern hit/miss cost, rBC vote
-       accounting and instance lookup, interned vs reference
+       accounting and instance lookup, interned vs the seed vote tables
+       (Oracle.Rbc)
    B12 deterministic message-count sweeps (not timed — exact counts):
        reference vs batched message layer, and the EW quadratic
        protocol, out to n = 128
@@ -193,9 +194,9 @@ let protocol_run ?message_layer ?update_kernel ~n ~ts ~ta ~d ~seed () =
     in
     assert (o.Maaa.outputs <> [])
 
-(* B6: the reference line keeps the seed message layer (PayloadMap votes,
-   polymorphic-compare instance maps) alive for the b6_speedup_n12 derived
-   key; every other line runs the interned fast path. *)
+(* B6: every line runs the default (interned) message layer except the
+   batched n=12 line, which prices the combined-packet egress path for
+   the b6_batched_speedup_n12 derived key. *)
 let b6_protocol =
   Test.make_grouped ~name:"B6 full protocol run"
     [
@@ -205,20 +206,47 @@ let b6_protocol =
         (Staged.stage (protocol_run ~n:8 ~ts:2 ~ta:1 ~d:2 ~seed:1L ()));
       Test.make ~name:"n=12 D=2 ts=3"
         (Staged.stage (protocol_run ~n:12 ~ts:3 ~ta:1 ~d:2 ~seed:1L ()));
-      Test.make ~name:"n=12 D=2 ts=3 (reference msg layer)"
+      Test.make ~name:"n=12 D=2 ts=3 (batched msg layer)"
         (Staged.stage
-           (protocol_run ~message_layer:`Reference ~n:12 ~ts:3 ~ta:1 ~d:2
+           (protocol_run ~message_layer:`Batched ~n:12 ~ts:3 ~ta:1 ~d:2
               ~seed:1L ()));
     ]
 
-let b7_run impl () =
-  let obs =
-    Fixtures.run_rbc ~impl ~n:7 ~t:2 ~policy:(Network.lockstep ~delta:10)
-      ~honest:[ 0; 1; 2; 3; 4; 5; 6 ]
-      ~sender:(`Honest (0, Message.Pvec (Vec.of_list [ 1.; 2. ])))
-      ()
+(* [Rbc.create] without its optional [?intern], so it fills the same
+   argument slot as [Oracle.Rbc.create] in the B7 and B11 harnesses. *)
+let rbc_create ~n ~t cb = Rbc.create ~n ~t cb
+
+(* B7: the honest-sender part of [Fixtures.run_rbc], taking the vote
+   table's [create]/[broadcast]/[on_message] so both rows share one
+   harness: seven parties on a lockstep engine, party 0 broadcasting. *)
+let b7_run create broadcast on_message () =
+  let n = 7 in
+  let engine =
+    Engine.create ~seed:1L ~n ~policy:(Network.lockstep ~delta:10) ()
   in
-  assert (List.length obs.Fixtures.rbc_deliveries = 7)
+  let deliveries = ref [] in
+  let rbcs =
+    Array.init n (fun i ->
+        let rbc =
+          create ~n ~t:2
+            {
+              Rbc.send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
+              deliver =
+                (fun _ payload ->
+                  deliveries := (i, payload, Engine.now engine) :: !deliveries);
+            }
+        in
+        Engine.set_party engine i (function
+          | Engine.Deliver { src; msg = Message.Rbc (id, step, payload) } ->
+              on_message rbc ~from:src id step payload
+          | _ -> ());
+        rbc)
+  in
+  broadcast rbcs.(0)
+    { Message.tag = Message.Init_value; origin = 0 }
+    (Message.Pvec (Vec.of_list [ 1.; 2. ]));
+  Engine.run engine;
+  assert (List.length !deliveries = n)
 
 let b7_rbc =
   (* x16 on both rows: one instance is 15-30 us, too close to the noise
@@ -229,12 +257,13 @@ let b7_rbc =
       Test.make ~name:"interned x16"
         (Staged.stage (fun () ->
              for _ = 1 to 16 do
-               b7_run `Interned ()
+               b7_run rbc_create Rbc.broadcast Rbc.on_message ()
              done));
       Test.make ~name:"reference msg layer x16"
         (Staged.stage (fun () ->
              for _ = 1 to 16 do
-               b7_run `Reference ()
+               b7_run Oracle.Rbc.create Oracle.Rbc.broadcast
+                 Oracle.Rbc.on_message ()
              done));
     ]
 
@@ -365,7 +394,8 @@ let b10_sweep =
 
 (* B11: the message layer in isolation — intern table hit/miss cost, and
    the rBC vote accounting fed a scripted message storm directly (no
-   engine), interned flat tables vs the seed PayloadMap/IntSet path. *)
+   engine), interned flat tables vs the seed PayloadMap/IntSet tables
+   (Oracle.Rbc). Both storms take the table's [create]/[on_message]. *)
 let b11_hit_payload = Message.Pvec (Vec.of_list [ 3.25; 2.5; 1.75 ])
 
 let b11_miss_payloads =
@@ -377,38 +407,38 @@ let b11_miss_tbl = Intern.create ()
 let b11_storm_payload = Message.Pvec (Vec.of_list [ 1.; 2. ])
 
 (* One instance, every step: init + n echoes + n readies, one delivery. *)
-let b11_vote_storm impl () =
+let b11_vote_storm create on_message () =
   let n = 16 and t = 5 in
   let delivered = ref 0 in
   let rbc =
-    Rbc.create ~impl ~n ~t
+    create ~n ~t
       {
         Rbc.send_all = (fun _ -> ());
         deliver = (fun _ _ -> incr delivered);
       }
   in
   let id = { Message.tag = Message.Init_value; origin = 0 } in
-  Rbc.on_message rbc ~from:0 id Message.Init b11_storm_payload;
+  on_message rbc ~from:0 id Message.Init b11_storm_payload;
   for s = 0 to n - 1 do
-    Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
+    on_message rbc ~from:s id Message.Echo b11_storm_payload
   done;
   for s = 0 to n - 1 do
-    Rbc.on_message rbc ~from:s id Message.Ready b11_storm_payload
+    on_message rbc ~from:s id Message.Ready b11_storm_payload
   done;
   assert (!delivered = 1)
 
 (* Many live instances: exercises the per-id instance lookup (hashtable on
    precomputed tag codes vs Map over polymorphic compare). *)
-let b11_instances impl () =
+let b11_instances create on_message () =
   let n = 16 and t = 5 in
   let rbc =
-    Rbc.create ~impl ~n ~t
+    create ~n ~t
       { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) }
   in
   for o = 0 to 15 do
     let id = { Message.tag = Message.Obc_value o; origin = o } in
     for s = 0 to 7 do
-      Rbc.on_message rbc ~from:s id Message.Echo b11_storm_payload
+      on_message rbc ~from:s id Message.Echo b11_storm_payload
     done
   done
 
@@ -437,22 +467,22 @@ let b11_message_layer =
       Test.make ~name:"rbc vote storm n=16 interned x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_vote_storm `Interned ()
+               b11_vote_storm rbc_create Rbc.on_message ()
              done));
       Test.make ~name:"rbc vote storm n=16 reference x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_vote_storm `Reference ()
+               b11_vote_storm Oracle.Rbc.create Oracle.Rbc.on_message ()
              done));
       Test.make ~name:"rbc 16 live instances interned x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_instances `Interned ()
+               b11_instances rbc_create Rbc.on_message ()
              done));
       Test.make ~name:"rbc 16 live instances reference x8"
         (Staged.stage (fun () ->
              for _ = 1 to 8 do
-               b11_instances `Reference ()
+               b11_instances Oracle.Rbc.create Oracle.Rbc.on_message ()
              done));
     ]
 
@@ -571,7 +601,7 @@ let b12_run ?message_layer ?protocol ~n () =
   assert (r.Runner.live && r.Runner.valid && r.Runner.agreement);
   (r.Runner.stats.Engine.messages_sent, r.Runner.stats.Engine.bytes_sent)
 
-(* The reference path stops at n = 12 (Theta(n^3) packets make larger
+(* The reference (unbatched) path stops at n = 12 (Theta(n^3) packets make larger
    points pointlessly slow); batched Pi_AA runs to n = 64 (the safe-area
    subset count C(n, 2) bounds it) and EW — which trims only ta = 1 — out
    to n = 128. *)
@@ -802,10 +832,9 @@ let write_json ~oc ~quota ~sweeps rows =
           ~baseline:"B9 16 objectives, one system/one-shot Lp.solve each"
           ~target:"B9 16 objectives, one system/workspace warm start (warm:true)"
       );
-      ( "b6_speedup_n12",
-        speedup rows
-          ~baseline:"B6 full protocol run/n=12 D=2 ts=3 (reference msg layer)"
-          ~target:"B6 full protocol run/n=12 D=2 ts=3" );
+      ( "b6_batched_speedup_n12",
+        speedup rows ~baseline:"B6 full protocol run/n=12 D=2 ts=3"
+          ~target:"B6 full protocol run/n=12 D=2 ts=3 (batched msg layer)" );
       ( "b7_speedup",
         speedup rows
           ~baseline:"B7 one rBC instance n=7/reference msg layer x16"
@@ -957,11 +986,11 @@ let () =
   | _ -> ());
   (match
      speedup rows
-       ~baseline:"B6 full protocol run/n=12 D=2 ts=3 (reference msg layer)"
-       ~target:"B6 full protocol run/n=12 D=2 ts=3"
+       ~baseline:"B6 full protocol run/n=12 D=2 ts=3"
+       ~target:"B6 full protocol run/n=12 D=2 ts=3 (batched msg layer)"
    with
   | Some s ->
-      Format.printf "B6 n=12 interned message layer speedup over reference: %.2fx@." s
+      Format.printf "B6 n=12 batched message layer speedup over interned: %.2fx@." s
   | None -> ());
   (match
      speedup rows

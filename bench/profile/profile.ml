@@ -1,6 +1,7 @@
 (* Quick min-of-5 wall-clock probe for the protocol hot paths, outside
-   bechamel: message-layer and engine cost in isolation, plus the two
-   end-to-end lines the perf targets are stated against (B6 n=12, B7).
+   bechamel: message-layer and engine cost in isolation (interned vote
+   tables against the seed ones in Oracle.Rbc), plus the two end-to-end
+   lines the perf targets are stated against (B6 n=12, B7).
    Run with: dune exec bench/profile/profile.exe *)
 let measure n f =
   ignore (f ());
@@ -25,19 +26,46 @@ let protocol message_layer () =
   let o = Maaa.run ~seed:1L ~message_layer ~policy:(Network.lockstep ~delta:10) ~cfg ~inputs () in
   assert (o.Maaa.outputs <> [])
 
-let rbc impl () =
-  let obs =
-    Fixtures.run_rbc ~impl ~n:7 ~t:2 ~policy:(Network.lockstep ~delta:10)
-      ~honest:[ 0; 1; 2; 3; 4; 5; 6 ]
-      ~sender:(`Honest (0, Message.Pvec (Vec.of_list [ 1.; 2. ])))
-      ()
+(* [Rbc.create] without its optional [?intern], so it fills the same
+   argument slot as [Oracle.Rbc.create]. *)
+let rbc_create ~n ~t cb = Rbc.create ~n ~t cb
+
+(* The honest-sender part of [Fixtures.run_rbc] over either vote table:
+   seven parties on a lockstep engine, party 0 broadcasting. *)
+let rbc create broadcast on_message () =
+  let n = 7 in
+  let engine =
+    Engine.create ~seed:1L ~n ~policy:(Network.lockstep ~delta:10) ()
   in
-  assert (List.length obs.Fixtures.rbc_deliveries = 7)
+  let deliveries = ref [] in
+  let rbcs =
+    Array.init n (fun i ->
+        let rbc =
+          create ~n ~t:2
+            {
+              Rbc.send_all = (fun msg -> Engine.broadcast engine ~src:i msg);
+              deliver =
+                (fun _ payload ->
+                  deliveries := (i, payload, Engine.now engine) :: !deliveries);
+            }
+        in
+        Engine.set_party engine i (function
+          | Engine.Deliver { src; msg = Message.Rbc (id, step, payload) } ->
+              on_message rbc ~from:src id step payload
+          | _ -> ());
+        rbc)
+  in
+  broadcast rbcs.(0)
+    { Message.tag = Message.Init_value; origin = 0 }
+    (Message.Pvec (Vec.of_list [ 1.; 2. ]));
+  Engine.run engine;
+  assert (List.length !deliveries = n)
 
 let () =
-  time "B7 rbc reference" 2000 (rbc `Reference);
-  time "B7 rbc interned" 2000 (rbc `Interned);
-  time "B6 n=12 D=2 reference" 10 (protocol `Reference);
+  time "B7 rbc reference" 2000
+    (rbc Oracle.Rbc.create Oracle.Rbc.broadcast Oracle.Rbc.on_message);
+  time "B7 rbc interned" 2000 (rbc rbc_create Rbc.broadcast Rbc.on_message);
+  time "B6 n=12 D=2 batched" 10 (protocol `Batched);
   time "B6 n=12 D=2 interned" 10 (protocol `Interned)
 
 let storm_payload = Message.Pvec (Vec.of_list [ 1.; 2. ])
@@ -49,39 +77,41 @@ let engine_churn () =
   for _ = 1 to 15 do Engine.broadcast engine ~src:0 msg done;
   Engine.run engine
 
-let rbc_only impl () =
+let rbc_only create on_message () =
   let n = 7 and t = 2 in
   let rbcs =
     Array.init n (fun _ ->
-        Rbc.create ~impl ~n ~t
+        create ~n ~t
           { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) })
   in
   let id = { Message.tag = Message.Init_value; origin = 0 } in
   Array.iter
     (fun rbc ->
-      Rbc.on_message rbc ~from:0 id Message.Init storm_payload;
+      on_message rbc ~from:0 id Message.Init storm_payload;
       for s = 0 to n - 1 do
-        Rbc.on_message rbc ~from:s id Message.Echo storm_payload
+        on_message rbc ~from:s id Message.Echo storm_payload
       done;
       for s = 0 to n - 1 do
-        Rbc.on_message rbc ~from:s id Message.Ready storm_payload
+        on_message rbc ~from:s id Message.Ready storm_payload
       done)
     rbcs
 
 let setup_engine () =
   ignore (Engine.create ~seed:1L ~n:7 ~policy:(Network.lockstep ~delta:10) ())
 
-let setup_rbc impl () =
+let setup_rbc create () =
   for _ = 1 to 7 do
     ignore
-      (Rbc.create ~impl ~n:7 ~t:2
+      (create ~n:7 ~t:2
          { Rbc.send_all = (fun _ -> ()); deliver = (fun _ _ -> ()) })
   done
 
 let () =
   time "engine churn 105 msgs, null handlers" 2000 engine_churn;
-  time "rbc-only 7 instances, interned" 2000 (rbc_only `Interned);
-  time "rbc-only 7 instances, reference" 2000 (rbc_only `Reference);
+  time "rbc-only 7 instances, interned" 2000
+    (rbc_only rbc_create Rbc.on_message);
+  time "rbc-only 7 instances, reference" 2000
+    (rbc_only Oracle.Rbc.create Oracle.Rbc.on_message);
   time "setup: Engine.create n=7" 2000 setup_engine;
-  time "setup: 7x Rbc.create interned" 2000 (setup_rbc `Interned);
-  time "setup: 7x Rbc.create reference" 2000 (setup_rbc `Reference)
+  time "setup: 7x Rbc.create interned" 2000 (setup_rbc rbc_create);
+  time "setup: 7x Rbc.create reference" 2000 (setup_rbc Oracle.Rbc.create)

@@ -1,6 +1,6 @@
 (* Randomized chaos soak driver.
    Usage: soak.exe [--cases N] [--seed S] [--domains N] [--mutant M]
-                   [--message-layer interned|reference|batched]
+                   [--message-layer interned|batched]
                    [--update-kernel safe-area|centroid]
                    [--protocol maaa|ew] [--transport sim|net]
                    [--out FILE] [--journal FILE] [--resume]
@@ -148,7 +148,7 @@ let () =
         die
           "unknown argument %S (usage: soak.exe [--cases N] [--seed S] \
            [--domains N] [--mutant M] [--message-layer \
-           interned|reference|batched] [--update-kernel safe-area|centroid] \
+           interned|batched] [--update-kernel safe-area|centroid] \
            [--protocol maaa|ew] [--transport sim|net] [--out FILE] \
            [--journal FILE] [--resume] \
            [--case-events N] [--wall SECONDS|none] [--retries N] \

@@ -15,12 +15,12 @@
     skips the witness phase and outputs on the first deadline, losing the
     [(ts, ta)]-Overlap guarantee under asynchrony.
 
-    Like {!Rbc}, two implementations share this interface: the default
-    [`Interned] path keeps the collected set and every pending report as
-    flat party-indexed arrays of {!Intern} value ids (report verification
-    is O(n) int compares instead of a [Pairset.subset] of float vectors
-    on every event), while [`Reference] is the seed Pairset/Map code —
-    trace-identical, retained for differential tests and benches. *)
+    The collected set and every pending report are flat party-indexed
+    arrays of {!Intern} value ids, so report verification is O(n) int
+    compares instead of a [Pairset.subset] of float vectors on every
+    event. The test-only [oracle] library keeps the seed Pairset/Map
+    code; a property in [test_intern.ml] checks that both invoke every
+    callback identically on random call sequences. *)
 
 type t
 
@@ -34,7 +34,6 @@ type callbacks = {
 }
 
 val create :
-  ?impl:[ `Interned | `Reference ] ->
   ?intern:Intern.t ->
   ?witnessing:bool ->
   n:int ->
@@ -44,8 +43,8 @@ val create :
   callbacks ->
   t
 (** [intern] shares the owning party's interning table (fresh private
-    table when omitted; ignored by [`Reference]) — pass the same table as
-    the party's {!Rbc} so value ids agree across the layers. *)
+    table when omitted) — pass the same table as the party's {!Rbc} so
+    value ids agree across the layers. *)
 
 val start : t -> Vec.t -> unit
 (** Join the protocol with our value; records the local start time. *)
@@ -61,19 +60,3 @@ val poke : t -> unit
 (** Re-evaluate all guards (call on timer wake-ups). *)
 
 val has_output : t -> bool
-
-(** The seed Pairset/Map implementation, verbatim — differential baseline
-    only; protocol code should go through {!create}. *)
-module Reference : sig
-  type t
-
-  val create :
-    ?witnessing:bool -> n:int -> ts:int -> delta:int -> iter:int ->
-    callbacks -> t
-
-  val start : t -> Vec.t -> unit
-  val on_value : t -> origin:int -> Vec.t -> unit
-  val on_report : t -> from:int -> (int * Vec.t) list -> unit
-  val poke : t -> unit
-  val has_output : t -> bool
-end

@@ -3,122 +3,11 @@ type callbacks = {
   deliver : Message.rbc_id -> Message.payload -> unit;
 }
 
-(* The seed implementation, kept verbatim (including its
-   exception-as-control-flow [votes] lookup) as the differential-test
-   baseline — the interned fast path below must be trace-identical to
-   this module on every schedule. *)
-module Reference = struct
-  module IdMap = Map.Make (struct
-    type t = Message.rbc_id
-
-    let compare = Stdlib.compare
-  end)
-
-  module PayloadMap = Map.Make (struct
-    type t = Message.payload
-
-    let compare = Stdlib.compare
-  end)
-
-  module IntSet = Set.Make (Int)
-
-  type instance = {
-    mutable echoed : bool;  (* sent our echo (for some value) *)
-    mutable readied : bool;  (* sent our ready (for some value) *)
-    mutable output : Message.payload option;
-    mutable echo_votes : IntSet.t PayloadMap.t;  (* value -> echo senders *)
-    mutable ready_votes : IntSet.t PayloadMap.t;  (* value -> ready senders *)
-  }
-
-  type t = {
-    n : int;
-    thr : int;
-    cb : callbacks;
-    mutable instances : instance IdMap.t;
-  }
-
-  let create ~n ~t cb =
-    if n <= 3 * t then invalid_arg "Rbc.create: requires n > 3t";
-    { n; thr = t; cb; instances = IdMap.empty }
-
-  let instance t id =
-    match IdMap.find_opt id t.instances with
-    | Some inst -> inst
-    | None ->
-        let inst =
-          {
-            echoed = false;
-            readied = false;
-            output = None;
-            echo_votes = PayloadMap.empty;
-            ready_votes = PayloadMap.empty;
-          }
-        in
-        t.instances <- IdMap.add id inst t.instances;
-        inst
-
-  let votes map v =
-    try IntSet.cardinal (PayloadMap.find v map) with Not_found -> 0
-
-  let add_vote map ~from v =
-    PayloadMap.update v
-      (function
-        | None -> Some (IntSet.singleton from)
-        | Some s -> Some (IntSet.add from s))
-      map
-
-  let send_echo t id v inst =
-    if not inst.echoed then begin
-      inst.echoed <- true;
-      t.cb.send_all (Message.Rbc (id, Message.Echo, v))
-    end
-
-  let send_ready t id v inst =
-    if not inst.readied then begin
-      inst.readied <- true;
-      t.cb.send_all (Message.Rbc (id, Message.Ready, v))
-    end
-
-  let check_progress t id inst v =
-    (* n - t echoes, or t + 1 readies: send our ready for v *)
-    if
-      (not inst.readied)
-      && (votes inst.echo_votes v >= t.n - t.thr
-         || votes inst.ready_votes v >= t.thr + 1)
-    then send_ready t id v inst;
-    (* n - t readies: deliver v *)
-    if inst.output = None && votes inst.ready_votes v >= t.n - t.thr then begin
-      inst.output <- Some v;
-      t.cb.deliver id v
-    end
-
-  let broadcast t id v = t.cb.send_all (Message.Rbc (id, Message.Init, v))
-
-  let on_message t ~from id step v =
-    let inst = instance t id in
-    match step with
-    | Message.Init ->
-        (* only the designated origin may initiate *)
-        if from = id.origin then send_echo t id v inst
-    | Message.Echo ->
-        inst.echo_votes <- add_vote inst.echo_votes ~from v;
-        check_progress t id inst v
-    | Message.Ready ->
-        inst.ready_votes <- add_vote inst.ready_votes ~from v;
-        check_progress t id inst v
-
-  let delivered t id =
-    match IdMap.find_opt id t.instances with
-    | Some inst -> inst.output
-    | None -> None
-end
-
-(* ------------------------------------------------------------------ *)
-(* Interned fast path: payloads become dense ids at receipt (one
-   structural hash each — see Intern), instances live in a hashtable
-   keyed by a per-constructor rbc_id code, and echo/ready accounting is
-   an int counter plus a per-(payload, sender) bitset. No polymorphic
-   compare or hash anywhere below. *)
+(* Payloads become dense ids at receipt (one structural hash each — see
+   Intern), instances live in a hashtable keyed by a per-constructor
+   rbc_id code, and echo/ready accounting is an int counter plus a
+   per-(payload, sender) bitset. No polymorphic compare or hash anywhere
+   below. *)
 
 (* Injective over (tag kind, iteration); used for hashing only, so a
    pathological iteration value can at worst cause a chain, never a
@@ -176,7 +65,7 @@ type instance = {
   mutable slots : slot list;
 }
 
-type fast = {
+type t = {
   n : int;
   thr : int;
   bpp : int;  (* bytes per sender bitset *)
@@ -196,7 +85,7 @@ let bit_set b i =
   Bytes.set b (i lsr 3)
     (Char.chr (Char.code (Bytes.get b (i lsr 3)) lor (1 lsl (i land 7))))
 
-let fast_instance t id =
+let instance t id =
   match t.last_id with
   | Some lid when id_equal lid id -> (
       match t.last_inst with Some inst -> inst | None -> assert false)
@@ -237,8 +126,8 @@ let slot_for t inst pid payload =
   find inst.slots
 
 (* Count a vote at most once per (sender, value). Senders outside
-   [0, n) cannot index the bitset; they go to a deduped side list so the
-   totals still match the reference IntSet semantics exactly. *)
+   [0, n) cannot index the bitset; they go to a deduped side list, so
+   they too count once per value. *)
 let add_echo t s ~from =
   if from >= 0 && from < t.n then begin
     if not (bit_mem s.echo_seen from) then begin
@@ -263,7 +152,7 @@ let add_ready t s ~from =
     s.ready_count <- s.ready_count + 1
   end
 
-let fast_check_progress t id inst (s : slot) =
+let check_progress t id inst (s : slot) =
   (* n - t echoes, or t + 1 readies: send our ready for this value *)
   if
     (not inst.readied)
@@ -278,8 +167,8 @@ let fast_check_progress t id inst (s : slot) =
     t.cb.deliver id s.payload
   end
 
-let fast_on_message t ~from id step v =
-  let inst = fast_instance t id in
+let on_message t ~from id step v =
+  let inst = instance t id in
   (* one structural hash per receipt; everything after is int-keyed *)
   let pid = Intern.intern t.intern v in
   match step with
@@ -291,54 +180,35 @@ let fast_on_message t ~from id step v =
   | Message.Echo ->
       let s = slot_for t inst pid (Intern.payload t.intern pid) in
       add_echo t s ~from;
-      fast_check_progress t id inst s
+      check_progress t id inst s
   | Message.Ready ->
       let s = slot_for t inst pid (Intern.payload t.intern pid) in
       add_ready t s ~from;
-      fast_check_progress t id inst s
+      check_progress t id inst s
 
-(* ------------------------------------------------------------------ *)
+let create ?intern ~n ~t cb =
+  if n <= 3 * t then invalid_arg "Rbc.create: requires n > 3t";
+  (* standalone (non-Party) use: small tables — one broadcast is a
+     single instance with a handful of payloads *)
+  let intern =
+    match intern with Some i -> i | None -> Intern.create ~initial_size:16 ()
+  in
+  {
+    n;
+    thr = t;
+    bpp = (n + 7) / 8;
+    cb;
+    intern;
+    instances = IdTbl.create 16;
+    last_id = None;
+    last_inst = None;
+  }
 
-type t = Fast of fast | Ref of Reference.t
-
-let create ?(impl = `Interned) ?intern ~n ~t cb =
-  match impl with
-  | `Reference -> Ref (Reference.create ~n ~t cb)
-  | `Interned ->
-      if n <= 3 * t then invalid_arg "Rbc.create: requires n > 3t";
-      (* standalone (non-Party) use: small tables — one broadcast is a
-         single instance with a handful of payloads *)
-      let intern =
-        match intern with Some i -> i | None -> Intern.create ~initial_size:16 ()
-      in
-      Fast
-        {
-          n;
-          thr = t;
-          bpp = (n + 7) / 8;
-          cb;
-          intern;
-          instances = IdTbl.create 16;
-          last_id = None;
-          last_inst = None;
-        }
-
+(* intern our own value so the self-delivered copy is a hash hit *)
 let broadcast t id v =
-  match t with
-  | Ref r -> Reference.broadcast r id v
-  | Fast f ->
-      (* intern our own value so the self-delivered copy is a hash hit *)
-      f.cb.send_all (Message.Rbc (id, Message.Init, Intern.intern_payload f.intern v))
-
-let on_message t ~from id step v =
-  match t with
-  | Ref r -> Reference.on_message r ~from id step v
-  | Fast f -> fast_on_message f ~from id step v
+  t.cb.send_all (Message.Rbc (id, Message.Init, Intern.intern_payload t.intern v))
 
 let delivered t id =
-  match t with
-  | Ref r -> Reference.delivered r id
-  | Fast f -> (
-      match IdTbl.find_opt f.instances id with
-      | Some inst -> inst.output
-      | None -> None)
+  match IdTbl.find_opt t.instances id with
+  | Some inst -> inst.output
+  | None -> None

@@ -11,18 +11,14 @@
     completes within 3Δ of a synchronous start) and [c'_rBC = 2] (once any
     honest party delivers, all do within 2Δ).
 
-    Two implementations sit behind the same interface (select with
-    [create ?impl]):
-    - [`Interned] (default): every received payload is hash-consed through
-      an {!Intern} table once at receipt, instances live in a hashtable
-      with a specialized [rbc_id] hash, and votes are flat counters plus
-      per-(payload, sender) bitsets — no polymorphic compare on the hot
-      path. This is the production path.
-    - [`Reference]: the seed [PayloadMap]/[IntSet] implementation (also
-      exposed directly as {!Reference}), retained for differential tests
-      and the B7/B11 before/after benches. The interned path is
-      trace-identical to it on every schedule — locked in by
-      [test_intern.ml]. *)
+    Every received payload is hash-consed through an {!Intern} table
+    once at receipt, instances live in a hashtable with a specialized
+    [rbc_id] hash, and votes are flat counters plus per-(payload, sender)
+    bitsets — no polymorphic compare on the hot path. The test-only
+    [oracle] library keeps the seed [Map]/[Set] vote tables; the
+    differentials in [test_intern.ml] check that both invoke the
+    callbacks identically on replayed traffic and on random call
+    sequences. *)
 
 type t
 
@@ -34,7 +30,6 @@ type callbacks = {
 }
 
 val create :
-  ?impl:[ `Interned | `Reference ] ->
   ?intern:Intern.t ->
   n:int ->
   t:int ->
@@ -43,7 +38,7 @@ val create :
 (** [t] is the corruption threshold the instance thresholds are computed
     from (the paper uses [ts]); requires [n > 3t]. [intern] lets the
     owning party share one interning table across its sub-protocols
-    (fresh private table when omitted); it is ignored by [`Reference]. *)
+    (fresh private table when omitted). *)
 
 val broadcast : t -> Message.rbc_id -> Message.payload -> unit
 (** Act as the designated sender of instance [id] (the caller must be
@@ -57,18 +52,3 @@ val on_message :
 
 val delivered : t -> Message.rbc_id -> Message.payload option
 (** The instance's output, if it has been delivered locally. *)
-
-(** The seed message layer, verbatim — [Map]s keyed by polymorphic
-    compare over full payloads. Differential baseline only; protocol code
-    should go through {!create}. *)
-module Reference : sig
-  type t
-
-  val create : n:int -> t:int -> callbacks -> t
-  val broadcast : t -> Message.rbc_id -> Message.payload -> unit
-
-  val on_message :
-    t -> from:int -> Message.rbc_id -> Message.step -> Message.payload -> unit
-
-  val delivered : t -> Message.rbc_id -> Message.payload option
-end

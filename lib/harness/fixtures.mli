@@ -1,5 +1,8 @@
 (** Mini-networks that drive a single sub-protocol in isolation, for the
-    per-primitive experiments (E4, E5, E8) and focused tests. *)
+    per-primitive experiments (E4, E5, E8) and focused tests. Every
+    fixture runs the library's {!Rbc} and {!Obc}; the seed vote tables
+    live in the test-only [oracle] library, and the benches that price
+    them build their own network. *)
 
 type rbc_obs = {
   rbc_deliveries : (int * Message.payload * int) list;
@@ -8,7 +11,6 @@ type rbc_obs = {
 
 val run_rbc :
   ?seed:int64 ->
-  ?impl:[ `Interned | `Reference ] ->
   n:int ->
   t:int ->
   policy:Engine.delay_policy ->

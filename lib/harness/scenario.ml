@@ -14,7 +14,7 @@ type t = {
   mutant : Party.mutant option;
   mode : Party.mode;
   isolate : bool;
-  message_layer : [ `Interned | `Reference | `Batched ];
+  message_layer : [ `Interned | `Batched ];
   update_kernel : Safe_cache.kernel;
   protocol : [ `Maaa | `Ew ];
   transport : [ `Sim | `Net ];

@@ -43,13 +43,12 @@ type t = {
       (** run the engine under [`Isolate]: a party-handler exception
           records a failure and crashes that party instead of aborting the
           whole run (and, in pooled sweeps, the whole batch) *)
-  message_layer : [ `Interned | `Reference | `Batched ];
-      (** broadcast-layer implementation for honest parties (see
-          {!Party.attach}); [`Reference] exists for differential testing
-          against the seed message layer and the B6/B11 benches;
-          [`Batched] coalesces each party's per-tick rBC votes into one
-          combined packet per receiver (ignored under [`Ew], which has no
-          rBC traffic) *)
+  message_layer : [ `Interned | `Batched ];
+      (** rBC egress path for honest parties (see {!Party.attach}):
+          [`Interned] (default) sends one packet per vote; [`Batched]
+          coalesces each party's per-tick rBC votes into one combined
+          packet per receiver (ignored under [`Ew], which has no rBC
+          traffic) *)
   update_kernel : Safe_cache.kernel;
       (** iteration update rule for honest parties (see {!Party.attach}):
           the paper's safe-area midpoint (default) or the centroid-style
@@ -84,7 +83,7 @@ val make :
   ?mutant:Party.mutant ->
   ?mode:Party.mode ->
   ?isolate:bool ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
+  ?message_layer:[ `Interned | `Batched ] ->
   ?update_kernel:Safe_cache.kernel ->
   ?protocol:[ `Maaa | `Ew ] ->
   ?transport:[ `Sim | `Net ] ->

@@ -8,7 +8,7 @@ type config = {
   case_wall : float option;
   retries : int;
   stuck : int option;
-  message_layer : [ `Interned | `Reference | `Batched ];
+  message_layer : [ `Interned | `Batched ];
   update_kernel : Safe_cache.kernel;
   protocol : [ `Maaa | `Ew ];
   transport : [ `Sim | `Net ];
@@ -48,17 +48,15 @@ let mutant_of_string = function
 
 let layer_to_string = function
   | `Interned -> "interned"
-  | `Reference -> "reference"
   | `Batched -> "batched"
 
 let layer_of_string = function
   | "interned" -> Ok `Interned
-  | "reference" -> Ok `Reference
   | "batched" -> Ok `Batched
   | s ->
       Error
         (Printf.sprintf
-           "unknown message layer %S (expected interned|reference|batched)" s)
+           "unknown message layer %S (expected interned|batched)" s)
 
 let kernel_to_string = function
   | `Safe_area -> "safe-area"

@@ -32,9 +32,9 @@ type config = {
       (** test/CI hook: replace case [i]'s faults with an unbounded
           spammer so the case livelocks and must be caught by the
           watchdog *)
-  message_layer : [ `Interned | `Reference | `Batched ];
-      (** rBC implementation + egress path every case's honest parties
-          use (see {!Scenario.t}); [`Interned] is the default grid *)
+  message_layer : [ `Interned | `Batched ];
+      (** rBC egress path every case's honest parties use (see
+          {!Scenario.t}); [`Interned] is the default grid *)
   update_kernel : Safe_cache.kernel;
       (** iteration update rule every case's honest parties use (see
           {!Scenario.t}); [`Safe_area] is the default grid, [`Centroid]
@@ -64,10 +64,10 @@ val mutant_of_string : string -> (Party.mutant option, string) result
 val mutant_to_string : Party.mutant option -> string
 
 val layer_of_string :
-  string -> ([ `Interned | `Reference | `Batched ], string) result
-(** ["interned"], ["reference"], ["batched"]. *)
+  string -> ([ `Interned | `Batched ], string) result
+(** ["interned"], ["batched"]. *)
 
-val layer_to_string : [ `Interned | `Reference | `Batched ] -> string
+val layer_to_string : [ `Interned | `Batched ] -> string
 
 val kernel_of_string : string -> (Safe_cache.kernel, string) result
 (** ["safe-area"], ["centroid"]. *)

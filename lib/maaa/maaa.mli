@@ -20,7 +20,7 @@ val run :
   ?seed:int64 ->
   ?policy:Engine.delay_policy ->
   ?silent:int list ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
+  ?message_layer:[ `Interned | `Batched ] ->
   ?update_kernel:Safe_cache.kernel ->
   ?transport:[ `Sim | `Net ] ->
   cfg:Config.t ->

@@ -18,7 +18,6 @@ type t = {
   me : int;
   mode : mode;
   mutant : mutant option;
-  impl : [ `Interned | `Reference ];  (* rBC/oBC vote-table implementation *)
   batch : Batch.t option;  (* egress buffer when the layer is [`Batched] *)
   intern : Intern.t;  (* one hash-consing table for all sub-protocols *)
   safe_cache : Safe_cache.t;  (* shared across the run's parties when the
@@ -102,7 +101,7 @@ let rec join_iteration t it =
   t.iter_start <- t.now ();
   t.pending_value <- None;
   let obc =
-    Obc.create ~impl:t.impl ~intern:t.intern ~n:t.cfg.n ~ts:t.cfg.ts
+    Obc.create ~intern:t.intern ~n:t.cfg.n ~ts:t.cfg.ts
       ~delta:t.cfg.delta ~iter:it
       {
         Obc.now = t.now;
@@ -205,15 +204,10 @@ let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
     ?(message_layer = `Interned) ?register_flush
     ?safe_cache ?intern ?(update_kernel = `Safe_area) ~cfg ~me ~now ~send_all
     ~set_timer () =
-  let impl =
-    match message_layer with
-    | `Batched -> `Interned  (* batching wraps the fast vote tables *)
-    | (`Interned | `Reference) as l -> l
-  in
   let batch =
     match message_layer with
     | `Batched -> Some (Batch.create ~send_all ())
-    | `Interned | `Reference -> None
+    | `Interned -> None
   in
   (match (batch, register_flush) with
   | Some b, Some reg -> reg (fun ~final:_ -> Batch.flush b)
@@ -226,7 +220,6 @@ let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
       me;
       mode;
       mutant;
-      impl;
       batch;
       intern = (match intern with Some i -> i | None -> Intern.create ());
       safe_cache =
@@ -268,7 +261,7 @@ let create ?(callbacks = no_callbacks) ?(mode = Estimate) ?mutant
   in
   t.rbc <-
     Some
-      (Rbc.create ~impl ~intern:t.intern ~n:cfg.Config.n ~t:cfg.Config.ts
+      (Rbc.create ~intern:t.intern ~n:cfg.Config.n ~t:cfg.Config.ts
          {
            Rbc.send_all = rbc_send_all;
            deliver = (fun id payload -> on_rbc_deliver t id payload);
@@ -329,8 +322,8 @@ let handle t (ev : Message.t Transport.event) =
           (* a delivery may have unblocked a time-gated guard *)
           if t.iter >= 1 then try_advance t
       | Message.Rbc_batch entries ->
-          (* unpack in emission order; any layer accepts batched votes,
-             so mixed-layer runs interoperate *)
+          (* unpack in emission order; every party accepts batched
+             votes, so mixed-layer runs interoperate *)
           List.iter
             (fun (id, step, payload) ->
               Rbc.on_message (rbc t) ~from:src id step payload)

@@ -50,7 +50,7 @@ val create :
   ?callbacks:callbacks ->
   ?mode:mode ->
   ?mutant:mutant ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
+  ?message_layer:[ `Interned | `Batched ] ->
   ?register_flush:(((final:bool -> unit) -> unit)) ->
   ?safe_cache:Safe_cache.t ->
   ?intern:Intern.t ->
@@ -73,7 +73,7 @@ val attach_endpoint :
   ?callbacks:callbacks ->
   ?mode:mode ->
   ?mutant:mutant ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
+  ?message_layer:[ `Interned | `Batched ] ->
   ?safe_cache:Safe_cache.t ->
   ?intern:Intern.t ->
   ?update_kernel:Safe_cache.kernel ->
@@ -90,7 +90,7 @@ val attach :
   ?callbacks:callbacks ->
   ?mode:mode ->
   ?mutant:mutant ->
-  ?message_layer:[ `Interned | `Reference | `Batched ] ->
+  ?message_layer:[ `Interned | `Batched ] ->
   ?safe_cache:Safe_cache.t ->
   ?intern:Intern.t ->
   ?update_kernel:Safe_cache.kernel ->
@@ -100,23 +100,22 @@ val attach :
   t
 (** [attach_endpoint] on [Engine.endpoint engine ~me]: creates the party
     wired to the engine and registers its handler.
-    [mode] defaults to [Estimate]. [message_layer] selects the broadcast
-    implementations (default [`Interned], the fast path): the party owns
-    one {!Intern} hash-consing table shared by its rBC multiplexer and
-    every per-iteration oBC instance, created fresh per party — so a run
-    never sees another run's payload ids — unless the caller passes
-    [intern], which substitutes a shared table (the multi-instance
-    engine shares one table per party index across co-resident
-    instances). Sharing is safe because the table gives structurally
-    equal payloads one id whichever party interns them first, and each
-    party keeps its own vote tables. [`Reference] wires the seed
-    Map-based layers instead; both produce bit-identical traces.
-    [`Batched] runs the interned vote tables behind a {!Batch} egress
-    buffer: all rBC votes emitted within a tick leave as one combined
-    packet per receiver when the engine's end-of-tick flusher fires —
-    protocol behaviour (outputs, iterations, monitor verdicts) is
-    identical under RNG-free delay policies, while sent-message counts
-    drop from Θ(n³) to Θ(n²) per iteration.
+    [mode] defaults to [Estimate]. The party's {!Rbc} multiplexer and
+    every per-iteration {!Obc} instance share one {!Intern} hash-consing
+    table, created fresh per party — so a run never sees another run's
+    payload ids — unless the caller passes [intern], which substitutes a
+    shared table (the multi-instance engine shares one table per party
+    index across co-resident instances). Sharing is safe because the
+    table gives structurally equal payloads one id whichever party
+    interns them first, and each party keeps its own vote tables.
+    [message_layer] selects the rBC egress path: [`Interned] (default)
+    sends every vote as its own packet; [`Batched] puts the same vote
+    tables behind a {!Batch} egress buffer, so all rBC votes emitted
+    within a tick leave as one combined packet per receiver when the
+    engine's end-of-tick flusher fires — protocol behaviour (outputs,
+    iterations, monitor verdicts) is identical under RNG-free delay
+    policies, while sent-message counts drop from Θ(n³) to Θ(n²) per
+    iteration.
     [safe_cache] memoises the new-value rule; pass one cache to every
     party of a run ({!Maaa.run} and the harness runner do) so identical
     report multisets are evaluated once per run instead of once per

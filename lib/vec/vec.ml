@@ -65,29 +65,31 @@ let normalize v =
   let n = norm v in
   if n <= 1e-300 then None else Some (scale (1. /. n) v)
 
+(* [compare] and [equal_exact] are loops, not local recursive closures:
+   [Intern] calls [equal_exact] on every hit, and a closure costs an
+   allocation per call. *)
 let compare (u : t) (v : t) =
-  let c = Stdlib.compare (Array.length u) (Array.length v) in
-  if c <> 0 then c
-  else
-    let rec go i =
-      if i = Array.length u then 0
-      else
-        let c = Float.compare u.(i) v.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  let n = Array.length u in
+  let c = ref (Int.compare n (Array.length v)) and i = ref 0 in
+  while !c = 0 && !i < n do
+    c := Float.compare u.(!i) v.(!i);
+    incr i
+  done;
+  !c
 
 let equal ?(eps = 1e-9) u v =
   Array.length u = Array.length v
   && Array.for_all2 (fun a b -> Float.abs (a -. b) <= eps) u v
 
 let equal_exact (u : t) (v : t) =
-  Array.length u = Array.length v
+  let n = Array.length u in
+  n = Array.length v
   &&
-  let rec go i =
-    i = Array.length u || (Float.compare u.(i) v.(i) = 0 && go (i + 1))
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && Float.compare u.(!i) v.(!i) = 0 do
+    incr i
+  done;
+  !i = n
 
 (* Bit-level FNV-style hash. Every NaN is folded to one canonical word so
    the hash agrees with [equal_exact] (Float.compare puts all NaNs in one

@@ -359,6 +359,22 @@ let test_soak_catches_mutants () =
       (Party.Premature_output, "agreement");
     ]
 
+(* The soak's [--message-layer] values are the shipped egress paths;
+   the seed vote tables are test-only and not a layer. *)
+let test_soak_layer_names () =
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        (Soak.layer_to_string l ^ " round-trips")
+        true
+        (Soak.layer_of_string (Soak.layer_to_string l) = Ok l))
+    [ `Interned; `Batched ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (s ^ " rejected") true
+        (Result.is_error (Soak.layer_of_string s)))
+    [ "reference"; "bogus"; "" ]
+
 let test_soak_scenarios_reproducible () =
   let config = { Soak.default with Soak.cases = 12; seed = 5L } in
   let fingerprint (s : Scenario.t) =
@@ -591,6 +607,8 @@ let () =
             test_soak_catches_mutants;
           Alcotest.test_case "case grid reproducible" `Quick
             test_soak_scenarios_reproducible;
+          Alcotest.test_case "message layer names" `Quick
+            test_soak_layer_names;
         ] );
       ( "supervision",
         [

@@ -127,18 +127,18 @@ let vec_bits_equal u v =
 let same_as_oracle ~t vs =
   match
     ( Hull3d.inter_trimmed ~t vs,
-      Hull3d_oracle.inter_hulls (Restrict.subsets_arr ~t vs) )
+      Oracle.Hull3d.inter_hulls (Restrict.subsets_arr ~t vs) )
   with
   | `Poly p, `Poly q ->
-      List.equal vec_bits_equal (Hull3d.vertices p) (Hull3d_oracle.vertices q)
+      List.equal vec_bits_equal (Hull3d.vertices p) (Oracle.Hull3d.vertices q)
       && List.equal
            (fun (n, o) (n', o') -> vec_bits_equal n n' && bits_equal o o')
            (List.map
               (fun (h : Hull3d.halfspace) -> (h.n, h.o))
               (Hull3d.halfspaces p))
            (List.map
-              (fun (h : Hull3d_oracle.halfspace) -> (h.n, h.o))
-              (Hull3d_oracle.halfspaces q))
+              (fun (h : Oracle.Hull3d.halfspace) -> (h.n, h.o))
+              (Oracle.Hull3d.halfspaces q))
   | `Empty, `Empty | `Degenerate, `Degenerate -> true
   | _ -> false
 

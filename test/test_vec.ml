@@ -39,7 +39,44 @@ let test_compare () =
   Alcotest.(check bool) "gt" true (Vec.compare b a > 0);
   Alcotest.(check bool) "eq" true (Vec.compare a a = 0);
   Alcotest.(check bool) "shorter first" true
-    (Vec.compare (Vec.of_list [ 9. ]) a < 0)
+    (Vec.compare (Vec.of_list [ 9. ]) a < 0);
+  (* Float.compare per coordinate: ±0 and all NaNs are one class each,
+     NaN sorts below every number *)
+  let v l = Vec.of_list l in
+  Alcotest.(check int) "±0 equal" 0 (Vec.compare (v [ 1.; -0. ]) (v [ 1.; 0. ]));
+  Alcotest.(check int) "NaNs equal" 0
+    (Vec.compare (v [ Float.nan ]) (v [ 0. /. 0. ]));
+  Alcotest.(check int) "NaN first" (-1)
+    (Vec.compare (v [ 1.; Float.nan ]) (v [ 1.; Float.neg_infinity ]));
+  Alcotest.(check bool) "equal_exact ±0" true
+    (Vec.equal_exact (v [ -0.; 2. ]) (v [ 0.; 2. ]));
+  Alcotest.(check bool) "equal_exact NaN" true
+    (Vec.equal_exact (v [ Float.nan ]) (v [ 0. /. 0. ]));
+  Alcotest.(check bool) "equal_exact lengths" false
+    (Vec.equal_exact (v [ 1. ]) (v [ 1.; 2. ]));
+  Alcotest.(check bool) "equal_exact last coordinate" false
+    (Vec.equal_exact (v [ 1.; 2. ]) (v [ 1.; 3. ]))
+
+(* [Intern] calls [equal_exact] on every hit: neither comparison may
+   allocate. Equal vectors walk every coordinate. *)
+let test_compare_allocates_nothing () =
+  let a = Vec.of_list [ 1.; -0. ] and b = Vec.of_list [ 1.; 0. ] in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc + Vec.compare a b
+  done;
+  let compare_words = Gc.minor_words () -. before in
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    if Vec.equal_exact a b then incr acc
+  done;
+  let equal_words = Gc.minor_words () -. before in
+  Alcotest.(check int) "±0 compare equal" 100_000 !acc;
+  Alcotest.(check (float 0.)) "minor words for 100k Vec.compare" 0.
+    compare_words;
+  Alcotest.(check (float 0.)) "minor words for 100k Vec.equal_exact" 0.
+    equal_words
 
 let test_normalize () =
   (match Vec.normalize (Vec.of_list [ 3.; 4. ]) with
@@ -199,6 +236,8 @@ let () =
           Alcotest.test_case "dist" `Quick test_dist;
           Alcotest.test_case "lincomb" `Quick test_lincomb;
           Alcotest.test_case "compare" `Quick test_compare;
+          Alcotest.test_case "compare allocates nothing" `Quick
+            test_compare_allocates_nothing;
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "diameter" `Quick test_diameter;
           Alcotest.test_case "diameter deterministic" `Quick
